@@ -74,16 +74,33 @@ def kl_loss(x, xhat, mask) -> float:
         raise SpecError(f"shape mismatch: x {x.shape}, xhat {xhat.shape}, mask {mask.shape}")
     obs = mask > 0
     xv = x[obs]
-    xh = xhat[obs]
     if np.any(xv < 0):
         raise ValidationError(
             "observed values must be nonnegative; run metrics.normalize first"
         )
+    return _kl_sum(xv, xhat[obs], *_zeros_to_one(xv))
+
+
+def _zeros_to_one(xv):
+    """xv with its zeros set to 1, and the index of those zeros."""
+    zero = np.flatnonzero(xv == 0)
+    xs = xv.copy()
+    xs[zero] = 1.0
+    return xs, zero
+
+
+def _kl_sum(xv, xh, xs, zero) -> float:
+    """KL of observed values xv against their estimates xh, both gathered in
+    the same order; xh is overwritten. (xs, zero) is _zeros_to_one(xv): xs
+    keeps the log finite where x = 0, a cell that contributes its limit xh."""
     if np.any(xh <= 0):
         raise ValidationError("estimates must be strictly positive for the KL loss")
-    terms = xh - xv
-    pos = xv > 0
-    terms[pos] += xv[pos] * np.log(xv[pos] / xh[pos])
+    terms = np.divide(xs, xh)
+    np.log(terms, out=terms)
+    terms *= xv
+    xh -= xv
+    terms += xh
+    terms[zero] = xh[zero]
     return float(terms.sum())
 
 
@@ -105,28 +122,36 @@ def mu_step(x, mask, factors: FactorPair) -> FactorPair:
     mask = as_matrix(mask)
     U, V = factors.U, factors.V
     xo = np.where(mask > 0, x, 0.0)
-
-    xhat = U @ V
-    ratio = np.where(mask > 0, xo / xhat, 0.0)
-    numer = ratio @ V.T
-    denom = mask @ V.T
-    mult = np.divide(numer, denom, out=np.ones_like(numer), where=denom > 0)
-    dead_rows = int(np.sum(~(denom > 0).any(axis=1)))
+    U2, V2, live_u, live_v = _mu_update(xo, mask, U, V, U @ V)
+    dead_rows = int(np.sum(~live_u.any(axis=1)))
     if dead_rows:
         _dead_axis_warning("rows", dead_rows)
-    U2 = np.maximum(U * mult, EPS_FLOOR)
-
-    xhat = U2 @ V
-    ratio = np.where(mask > 0, xo / xhat, 0.0)
-    numer = U2.T @ ratio
-    denom = U2.T @ mask
-    mult = np.divide(numer, denom, out=np.ones_like(numer), where=denom > 0)
-    dead_cols = int(np.sum(~(denom > 0).any(axis=0)))
+    dead_cols = int(np.sum(~live_v.any(axis=0)))
     if dead_cols:
         _dead_axis_warning("columns", dead_cols)
-    V2 = np.maximum(V * mult, EPS_FLOOR)
-
     return FactorPair(U2, V2)
+
+
+def _mu_update(xo, mask, U, V, xhat):
+    """Both half-updates of mu_step from xhat = U @ V, which is overwritten;
+    xo is x with its unobserved cells set to 0. Returns (U', V', live_u,
+    live_v), where live_* marks the nonzero update denominators.
+
+    xo / xhat is already 0 off the mask, since xhat >= EPS_FLOOR**2 > 0.
+    """
+    numer = np.divide(xo, xhat, out=xhat) @ V.T
+    denom = mask @ V.T
+    live_u = denom > 0
+    mult = np.divide(numer, denom, out=np.ones_like(numer), where=live_u)
+    U2 = np.maximum(U * mult, EPS_FLOOR)
+
+    np.matmul(U2, V, out=xhat)
+    numer = U2.T @ np.divide(xo, xhat, out=xhat)
+    denom = U2.T @ mask
+    live_v = denom > 0
+    mult = np.divide(numer, denom, out=np.ones_like(numer), where=live_v)
+    V2 = np.maximum(V * mult, EPS_FLOOR)
+    return U2, V2, live_u, live_v
 
 
 def init_factors(x, mask, h, seed) -> FactorPair:
@@ -160,22 +185,31 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
     deterministic for a given seed.
     """
     x, mask = xm.values, xm.mask
-    if not (mask > 0).any():
+    obs = mask > 0
+    if not obs.any():
         raise SpecError("cannot factorize: the mask has no observed entries")
-    if np.any(x[mask > 0] < 0):
+    idx = np.flatnonzero(obs)
+    xv = x.ravel()[idx]
+    if np.any(xv < 0):
         raise ValidationError("observed values must be nonnegative; normalize first")
+    xs, zero = _zeros_to_one(xv)
+    xo = np.where(obs, x, 0.0)
     factors = init_factors(x, mask, h, seed)
-    losses = [kl_loss(x, factors.U @ factors.V, mask)]
+    # xhat = U @ V of the current factors: the loss reads it, then the next
+    # update starts from it and uses its memory as scratch
+    xhat = factors.U @ factors.V
+    losses = [_kl_sum(xv, xhat.ravel()[idx], xs, zero)]
     converged = False
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # dead axes handled below
-        for _ in range(max_iters):
-            factors = mu_step(x, mask, factors)
-            losses.append(kl_loss(x, factors.U @ factors.V, mask))
-            prev, cur = losses[-2], losses[-1]
-            if prev <= 0 or (prev - cur) / prev < tol:
-                converged = True
-                break
+    for _ in range(max_iters):
+        # rows and columns without observed cells are dealt with after the loop
+        U, V, _, _ = _mu_update(xo, mask, factors.U, factors.V, xhat)
+        factors = FactorPair(U, V)
+        np.matmul(factors.U, factors.V, out=xhat)
+        losses.append(_kl_sum(xv, xhat.ravel()[idx], xs, zero))
+        prev, cur = losses[-2], losses[-1]
+        if prev <= 0 or (prev - cur) / prev < tol:
+            converged = True
+            break
     dead_rows = mask.sum(axis=1) == 0
     dead_cols = mask.sum(axis=0) == 0
     if dead_rows.any() and not dead_rows.all():
