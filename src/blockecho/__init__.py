@@ -1,8 +1,8 @@
 """Matrix completion for block-wise missing data.
 
-Subpackages: kernel (dense numerics), masking (mask generators), mf
-(masked KL matrix factorization), gan (adversarial imputer), metrics,
-data (ingestion/synthetics/forecasting), baselines, pipeline and cli.
+Modules: kernel (dense numerics), masking (mask generators), mf (masked
+KL matrix factorization), gan (adversarial imputer), metrics and data
+(ingestion/synthetics/forecasting).
 """
 
 __version__ = "0.1.0"

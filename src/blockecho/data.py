@@ -198,14 +198,6 @@ def save_csv(values, path, mask=None):
             writer.writerow(row)
 
 
-def file_checksum(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Downstream forecasting.
 

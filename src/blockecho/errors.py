@@ -1,8 +1,4 @@
-"""Exception hierarchy shared by the whole toolkit.
-
-The CLI maps these onto exit codes: spec/validation problems exit 2,
-training/runtime failures exit 3.
-"""
+"""Exception hierarchy shared by the whole toolkit."""
 
 
 class BlockEchoError(Exception):

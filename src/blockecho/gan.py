@@ -57,7 +57,7 @@ from .kernel import (
     uniform,
 )
 from .masking import MaskedMatrix
-from .mf import FactorPair, kl_loss
+from .mf import EPS_FLOOR, FactorPair, kl_loss
 
 LOG_EPS = 1e-7     # clamp inside every log term
 NOISE_HIGH = 0.01  # generator noise is uniform in [0, NOISE_HIGH]
@@ -568,7 +568,7 @@ def train(xm: MaskedMatrix, pre: FactorPair | None, cfg: BlockEchoConfig):
         # land inside the generator's sigmoid range, so the row game is fair
         c = float(pre.U.max()) / 0.95
         if c > 0:
-            pre = FactorPair(np.maximum(pre.U / c, 1e-8), pre.V * c)
+            pre = FactorPair(np.maximum(pre.U / c, EPS_FLOOR), np.maximum(pre.V * c, EPS_FLOOR))
 
     init_rng, batch_rng, noise_rng, hint_rng, y_rng = spawn_rngs(cfg.seed, 5)
     model = build_model(cfg, m, n, pre, init_rng)

@@ -25,14 +25,6 @@ def as_matrix(data) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def _sigmoid(z):
     # split by sign so exp never overflows
     out = np.empty_like(z)
@@ -258,15 +250,6 @@ def make_rng(seed) -> np.random.Generator:
 def spawn_rngs(seed, n: int) -> list:
     """n independent child streams of one seed, for per-component use."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(int(seed)).spawn(n)]
-
-
-def derive_seed(seed, tag: int) -> int:
-    """A stable derived integer seed, so components never share a raw stream."""
-    return int(np.random.SeedSequence([int(seed), int(tag)]).generate_state(1)[0])
-
-
-def gaussian(rng, rows, cols, loc=0.0, scale=1.0) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) * scale + loc
 
 
 def uniform(rng, rows, cols, low=0.0, high=1.0) -> np.ndarray:

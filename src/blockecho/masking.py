@@ -64,9 +64,6 @@ class MaskedMatrix:
     def shape(self):
         return self.values.shape
 
-    def observed_values(self):
-        return self.values[self.mask > 0]
-
 
 def _check_binary(mask):
     if not np.all((mask == 0.0) | (mask == 1.0)):

@@ -300,6 +300,20 @@ class TestTrain:
         obs = xm.mask > 0
         assert np.array_equal(result.imputed[obs], xm.values[obs])
 
+    def test_factors_at_the_floor_survive_the_rescale(self):
+        # U.max() < 0.95 makes train scale V down by c < 1: a V entry at the
+        # floor must stay at it rather than fail FactorPair's validation
+        xm, _ = toy_instance(m=8, n=5, seed=6, missing=0.4)
+        rng = np.random.default_rng(6)
+        U = rng.uniform(0.1, 0.5, size=(8, 2))
+        V = rng.uniform(0.1, 1.0, size=(2, 5))
+        V[1, 3] = mf.EPS_FLOOR
+        pre = mf.FactorPair(U, V)
+        _, result = G.train(xm, pre, G.BlockEchoConfig(h=2, iters=1, seed=6))
+        obs = xm.mask > 0
+        assert np.all(np.isfinite(result.imputed))
+        assert np.array_equal(result.imputed[obs], xm.values[obs])
+
     def test_deterministic(self):
         xm, _ = toy_instance(m=10, n=6, seed=3, missing=0.5)
         cfg = G.BlockEchoConfig(h=2, iters=25, seed=7)

@@ -9,23 +9,6 @@ def small_net(rng, sizes=(3, 4, 2), acts=("relu", "sigmoid")):
     return K.init_dense(list(sizes), list(acts), rng)
 
 
-class TestMatmul:
-    def test_identity(self):
-        assert np.array_equal(K.matmul(np.eye(2), [[5.0], [6.0]]), [[5.0], [6.0]])
-
-    def test_hand_product(self):
-        out = K.matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-        assert np.array_equal(out, [[17.0], [39.0]])
-
-    def test_zero_annihilates(self):
-        a = K.make_rng(0).random((4, 3))
-        assert np.array_equal(K.matmul(a, np.zeros((3, 5))), np.zeros((4, 5)))
-
-    def test_mismatch_reports_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            K.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 class TestForward:
     def test_zero_weights_give_activated_bias(self):
         net = small_net(K.make_rng(1), (3, 4, 2), ("relu", "identity"))
@@ -157,10 +140,6 @@ class TestRng:
     def test_spawned_streams_differ(self):
         r1, r2 = K.spawn_rngs(3, 2)
         assert not np.array_equal(r1.random(8), r2.random(8))
-
-    def test_derive_seed_stable(self):
-        assert K.derive_seed(5, 1) == K.derive_seed(5, 1)
-        assert K.derive_seed(5, 1) != K.derive_seed(5, 2)
 
 
 class TestInit:

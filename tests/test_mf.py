@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from blockecho import mf
 from blockecho.errors import SpecError, ValidationError
-from blockecho.masking import MaskedMatrix, apply_mask, gen_scattered
+from blockecho.masking import MaskedMatrix, apply_mask, gen_scattered, gen_uniblock
 from blockecho.metrics import normalize, rmse_missing
 
 
@@ -154,6 +156,67 @@ class TestPretrain:
             if err.standard < 0.05:
                 wins += 1
         assert wins >= 8
+
+
+def reference_pretrain(xm, h, max_iters, tol, seed):
+    """pretrain written as a loop over the public init_factors, mu_step and
+    kl_loss, which compute every product and mask afresh on each call."""
+    x, mask = xm.values, xm.mask
+    factors = mf.init_factors(x, mask, h, seed)
+    losses = [mf.kl_loss(x, factors.U @ factors.V, mask)]
+    converged = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in range(max_iters):
+            factors = mf.mu_step(x, mask, factors)
+            losses.append(mf.kl_loss(x, factors.U @ factors.V, mask))
+            if losses[-2] <= 0 or (losses[-2] - losses[-1]) / losses[-2] < tol:
+                converged = True
+                break
+    dead_rows = mask.sum(axis=1) == 0
+    dead_cols = mask.sum(axis=0) == 0
+    if dead_rows.any():
+        factors.U[dead_rows] = factors.U[~dead_rows].mean(axis=0)
+    if dead_cols.any():
+        factors.V[:, dead_cols] = factors.V[:, ~dead_cols].mean(axis=1, keepdims=True)
+    return factors, losses, converged
+
+
+def bit_exact_case(name):
+    """(MaskedMatrix, h, max_iters, tol) of one named pretrain case."""
+    x, mask = random_instance(20, 15, 11, missing=0.4)
+    h, max_iters, tol = 3, 60, 0.0
+    if name == "block":
+        mask = gen_uniblock(20, 15, 0.3, 12)
+    elif name == "dead_row":
+        mask[4, :] = 0.0
+    elif name == "dead_col":
+        mask[:, 7] = 0.0
+    elif name == "observed_zeros":
+        x[np.random.default_rng(13).random(x.shape) < 0.2] = 0.0
+    elif name == "early_stop":
+        max_iters, tol = 500, 1e-3
+    elif name == "tiny":
+        x, mask, h = np.array([[0.3, 0.9], [0.5, 0.0]]), np.array([[1.0, 1.0], [0.0, 1.0]]), 1
+    return apply_mask(x, mask), h, max_iters, tol
+
+
+class TestPretrainBitExact:
+    @pytest.mark.parametrize(
+        "name", ["scattered", "block", "dead_row", "dead_col", "observed_zeros", "early_stop", "tiny"]
+    )
+    def test_matches_public_step_loop(self, name):
+        xm, h, max_iters, tol = bit_exact_case(name)
+        factors, trace = mf.pretrain(xm, h, max_iters=max_iters, tol=tol, seed=5)
+        ref, losses, converged = reference_pretrain(xm, h, max_iters, tol, seed=5)
+        assert np.array_equal(factors.U, ref.U) and np.array_equal(factors.V, ref.V)
+        assert trace.losses == losses
+        assert trace.converged == converged
+        assert trace.iterations == len(losses) - 1
+        if name == "early_stop":
+            assert trace.converged and trace.iterations < max_iters
+        if name == "observed_zeros":
+            assert np.any((xm.values == 0) & (xm.mask > 0))
 
 
 class TestImputeAndIO:
