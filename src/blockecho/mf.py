@@ -196,7 +196,7 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
     xo = np.where(obs, x, 0.0)
     factors = init_factors(x, mask, h, seed)
     # xhat = U @ V of the current factors: the loss reads it, then the next
-    # update starts from it and uses its memory as scratch
+    # update starts from it and reuses its memory for the update ratios
     xhat = factors.U @ factors.V
     losses = [_kl_sum(xv, xhat.ravel()[idx], xs, zero)]
     converged = False
