@@ -4,7 +4,7 @@ The model has four trainable parts:
 
 * a generator G mapping each data row (zero-imputed values | mask row |
   noise) to a row embedding of width h;
-* a trainable column embedding V (h x n), usually warm-started from the
+* a trainable column embedding V (h x n), warm-started from the
   pre-trained factorization;
 * a completion head that turns embeddings into values as
   pointwise_net(U @ V), a shared scalar network applied entrywise so the
@@ -25,7 +25,7 @@ objectives with generator descent on
     (1 - alpha) * adversarial terms  +  alpha * masked reconstruction,
 
 where the reconstruction term is the generalized KL divergence of observed
-cells through the completion head (or a masked MSE in the ablation mode).
+cells through the completion head.
 The generator's adversarial part uses the non-saturating surrogate
 (maximize log D on fake rows/cells), which shares fixed points with the
 minimax form but keeps gradients alive early in training.
@@ -36,7 +36,7 @@ suite.
 """
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +63,6 @@ LOG_EPS = 1e-7     # clamp inside every log term
 NOISE_HIGH = 0.01  # generator noise is uniform in [0, NOISE_HIGH]
 
 HEAD_CLIP = 0.01   # the completion head starts as logit(clip(p, HEAD_CLIP, 1 - HEAD_CLIP))
-
-LOSS_MODES = ("kl", "mse")
 
 
 @dataclass(frozen=True)
@@ -94,12 +92,9 @@ class BlockEchoConfig:
     lr_d: float = 1e-3
     iters: int = 5000
     batch_rows: int | None = None
-    d_steps_per_g: int = 1
     seed: int = 0
-    loss_mode: str = "kl"
     use_d1: bool = True
     use_d2: bool = True
-    warm_start_v: bool = True
     ema_decay: float = 0.998
     pretrain_iters: int = 2000
     pretrain_tol: float = 1e-6
@@ -110,10 +105,8 @@ class BlockEchoConfig:
             raise SpecError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 <= self.hint_rate <= 1.0:
             raise SpecError(f"hint_rate must lie in [0, 1], got {self.hint_rate}")
-        if self.loss_mode not in LOSS_MODES:
-            raise SpecError(f"loss_mode must be one of {LOSS_MODES}, got '{self.loss_mode}'")
-        if self.iters < 0 or self.d_steps_per_g < 1:
-            raise SpecError("iters must be >= 0 and d_steps_per_g >= 1")
+        if self.iters < 0:
+            raise SpecError(f"iters must be >= 0, got {self.iters}")
         if not 0.0 <= self.ema_decay < 1.0:
             raise SpecError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
         h = self.h if self.h is not None else min(16, -(-min(m, n) // 4))
@@ -160,20 +153,6 @@ class BlockEchoConfig:
 
 
 @dataclass
-class CallCounters:
-    """How often each loss family was evaluated; used to assert that the
-    alpha boundaries really short-circuit whole paths."""
-
-    kl: int = 0
-    mse: int = 0
-    d1: int = 0
-    d2: int = 0
-
-    def to_dict(self):
-        return asdict(self)
-
-
-@dataclass
 class EchoModel:
     generator: DenseNet
     mcl: DenseNet | None
@@ -193,7 +172,6 @@ class ImputationResult:
     loss_trace: dict      # lists per iteration: d1, d2, mf_term, g_total
     config: dict
     wall_time: float
-    counters: CallCounters
 
 
 @dataclass
@@ -237,6 +215,11 @@ def _clip_unit(p):
     return np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
 
 
+def _bce_sum(p, target) -> float:
+    """sum of target*log p + (1-target)*log(1-p) for p already clipped."""
+    return float(np.sum(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
+
+
 def d1_loss(d1_out, y) -> float:
     """Row-level objective: sum of y*log D + (1-y)*log(1-D); the
     discriminator ascends it."""
@@ -246,8 +229,7 @@ def d1_loss(d1_out, y) -> float:
         raise ShapeError(f"expected column vectors, got {d1_out.shape} and {y.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValidationError("row indicator entries must be exactly 0 or 1")
-    p = _clip_unit(d1_out)
-    return float(np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    return _bce_sum(_clip_unit(d1_out), y)
 
 
 def d2_loss(d2_out, mask) -> float:
@@ -256,8 +238,7 @@ def d2_loss(d2_out, mask) -> float:
     mask = as_matrix(mask)
     if d2_out.shape != mask.shape:
         raise ShapeError(f"scores {d2_out.shape} != mask {mask.shape}")
-    p = _clip_unit(d2_out)
-    return float(np.sum(mask * np.log(p) + (1.0 - mask) * np.log(1.0 - p)))
+    return _bce_sum(_clip_unit(d2_out), mask)
 
 
 def assemble(xm: MaskedMatrix, xhat) -> np.ndarray:
@@ -321,7 +302,7 @@ class _GForward:
     )
 
 
-def _g_forward(model, gb: GBatch, cfg, counters=None) -> _GForward:
+def _g_forward(model, gb: GBatch, cfg) -> _GForward:
     fw = _GForward()
     fw.u, fw.g_cache = _gen_forward(model, gb.x, gb.mask, gb.z)
     fw.xhat, fw.p, fw.mcl_cache = _mcl_forward(model, fw.u)
@@ -341,8 +322,6 @@ def _g_forward(model, gb: GBatch, cfg, counters=None) -> _GForward:
             if gb.hint is None:
                 raise ValidationError("element-discriminator path needs a hint matrix")
             fw.d2_out, fw.d2_cache = net_forward(model.d2, np.hstack([fw.xbar, gb.hint]))
-            if counters is not None:
-                counters.d2 += 1
             p = _clip_unit(fw.d2_out)
             fw.adv2 = float(np.sum((gb.mask == 0) * np.log(1.0 - p)))
         if cfg.use_d1:
@@ -350,30 +329,19 @@ def _g_forward(model, gb: GBatch, cfg, counters=None) -> _GForward:
                 raise ValidationError("row-discriminator path needs y and pre-trained rows")
             fw.ud = mix_rows(gb.u_p, fw.u, gb.y)
             fw.d1_out, fw.d1_cache = net_forward(model.d1, fw.ud)
-            if counters is not None:
-                counters.d1 += 1
             p = _clip_unit(fw.d1_out)
             fw.adv1 = -float(np.sum((gb.y == 0) * np.log(p)))
 
     if cfg.alpha > 0.0:
-        if cfg.loss_mode == "kl":
-            xhat_c = np.maximum(fw.xhat, LOG_EPS)
-            fw.recon = kl_loss(gb.x, xhat_c, gb.mask)
-            if counters is not None:
-                counters.kl += 1
-        else:
-            obs = gb.mask > 0
-            fw.recon = float(np.sum(((gb.x - fw.xhat) * gb.mask) ** 2) / max(obs.sum(), 1))
-            if counters is not None:
-                counters.mse += 1
+        fw.recon = kl_loss(gb.x, np.maximum(fw.xhat, LOG_EPS), gb.mask)
 
     fw.total = (1.0 - cfg.alpha) * (fw.adv1 + fw.adv2) + cfg.alpha * fw.recon
     return fw
 
 
-def combined_g_loss(model, gb: GBatch, cfg, counters=None) -> float:
+def combined_g_loss(model, gb: GBatch, cfg) -> float:
     """Value of the generator's combined objective on one batch."""
-    return _g_forward(model, gb, cfg, counters).total
+    return _g_forward(model, gb, cfg).total
 
 
 def _g_params(model):
@@ -407,14 +375,8 @@ def _g_grads(model, gb: GBatch, cfg, fw: _GForward):
         d_u += d_ud * (gb.y == 0)
 
     if cfg.alpha > 0.0:
-        if cfg.loss_mode == "kl":
-            xhat_c = np.maximum(fw.xhat, LOG_EPS)
-            d_recon = np.where(
-                (gb.mask > 0) & (fw.xhat >= LOG_EPS), 1.0 - gb.x / xhat_c, 0.0
-            )
-        else:
-            obs_count = max(int((gb.mask > 0).sum()), 1)
-            d_recon = 2.0 * (fw.xhat - gb.x) * gb.mask / obs_count
+        xhat_c = np.maximum(fw.xhat, LOG_EPS)
+        d_recon = np.where((gb.mask > 0) & (fw.xhat >= LOG_EPS), 1.0 - gb.x / xhat_c, 0.0)
         d_xhat += cfg.alpha * d_recon
 
     if model.mcl is not None:
@@ -434,34 +396,23 @@ def _g_grads(model, gb: GBatch, cfg, fw: _GForward):
     return grads
 
 
-def _g_step(model, gb: GBatch, cfg, counters):
-    fw = _g_forward(model, gb, cfg, counters)
+def _g_step(model, gb: GBatch, cfg):
+    fw = _g_forward(model, gb, cfg)
     grads = _g_grads(model, gb, cfg, fw)
     adam_step(model.opt_g, _g_params(model), grads)
     return fw.total, fw.recon
 
 
-def _d2_update(model, xbar, hint, mask, counters):
-    out, cache = net_forward(model.d2, np.hstack([xbar, hint]))
-    counters.d2 += 1
-    val = d2_loss(out, mask)
-    inb = (out > LOG_EPS) & (out < 1.0 - LOG_EPS)
+def _d_step(net, opt, prefix, inp, target):
+    """One Adam ascent step of a discriminator on the BCE sum of its scores
+    against the 0/1 target; returns that sum before the step."""
+    out, cache = net_forward(net, inp)
     p = _clip_unit(out)
-    d_out = np.where(inb, -(mask / p - (1.0 - mask) / (1.0 - p)), 0.0)
-    grads, _ = net_backward(model.d2, cache, d_out)
-    adam_step(model.opt_d2, net_params(model.d2, "d2"), net_grads_dict(grads, "d2"))
-    return val
-
-
-def _d1_update(model, ud, y, counters):
-    out, cache = net_forward(model.d1, ud)
-    counters.d1 += 1
-    val = d1_loss(out, y)
+    val = _bce_sum(p, target)
     inb = (out > LOG_EPS) & (out < 1.0 - LOG_EPS)
-    p = _clip_unit(out)
-    d_out = np.where(inb, -(y / p - (1.0 - y) / (1.0 - p)), 0.0)
-    grads, _ = net_backward(model.d1, cache, d_out)
-    adam_step(model.opt_d1, net_params(model.d1, "d1"), net_grads_dict(grads, "d1"))
+    d_out = np.where(inb, -(target / p - (1.0 - target) / (1.0 - p)), 0.0)
+    grads, _ = net_backward(net, cache, d_out)
+    adam_step(opt, net_params(net, prefix), net_grads_dict(grads, prefix))
     return val
 
 
@@ -499,8 +450,8 @@ def init_head(sizes) -> DenseNet:
     return DenseNet(weights, biases, _hidden_acts(sizes, "sigmoid"))
 
 
-def build_model(cfg: BlockEchoConfig, m, n, pre: FactorPair | None, rng) -> EchoModel:
-    """Networks, the trainable V and their optimizer states. cfg must be resolved."""
+def build_model(cfg: BlockEchoConfig, m, n, pre: FactorPair, rng) -> EchoModel:
+    """Networks, the trainable V (a copy of pre.V) and optimizer states; cfg resolved."""
     g = init_dense(list(cfg.g_layers), _hidden_acts(cfg.g_layers, "sigmoid"), rng)
     mcl = init_head(cfg.mcl_layers) if cfg.mcl_layers is not None else None
     d1 = d2 = opt_d1 = opt_d2 = None
@@ -510,15 +461,8 @@ def build_model(cfg: BlockEchoConfig, m, n, pre: FactorPair | None, rng) -> Echo
     if cfg.use_d2:
         d2 = init_dense(list(cfg.d2_layers), _hidden_acts(cfg.d2_layers, "sigmoid"), rng)
         opt_d2 = AdamState(lr=cfg.lr_d)
-    if cfg.warm_start_v:
-        if pre is None:
-            raise SpecError("warm_start_v requires pre-trained factors")
-        V = pre.V.copy()
-    else:
-        # scale a cold V so that sigmoid-scale embeddings land near the data mean
-        V = rng.uniform(0.5, 1.5, size=(cfg.h, n)) / (0.5 * cfg.h)
     return EchoModel(
-        generator=g, mcl=mcl, V=V, d1=d1, d2=d2,
+        generator=g, mcl=mcl, V=pre.V.copy(), d1=d1, d2=d2,
         opt_g=AdamState(lr=cfg.lr_g), opt_d1=opt_d1, opt_d2=opt_d2,
         h=cfg.h, n=n,
     )
@@ -531,7 +475,7 @@ def _last_finite(seq):
     return float("nan")
 
 
-def train(xm: MaskedMatrix, pre: FactorPair | None, cfg: BlockEchoConfig):
+def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     """Alternating optimization of the discriminators and the generator.
 
     Per iteration: sample batch rows, ascend the element discriminator on
@@ -539,6 +483,7 @@ def train(xm: MaskedMatrix, pre: FactorPair | None, cfg: BlockEchoConfig):
     mixed embeddings, then descend the generator (with the completion head
     and V) on the combined objective. Afterwards one deterministic
     full-matrix forward pass with fresh noise produces the imputation.
+    The factors pre (mf.pretrain at rank cfg.h) anchor D1 and warm-start V.
 
     Returns (EchoModel, ImputationResult); deterministic per seed.
     """
@@ -550,29 +495,24 @@ def train(xm: MaskedMatrix, pre: FactorPair | None, cfg: BlockEchoConfig):
     if not obs.any():
         raise SpecError("cannot train on a matrix with no observed entries")
     ov = values[obs]
-    if np.any(ov <= 0.0) or np.any(ov > 1.0):
-        raise ValidationError("training expects data normalized to (0, 1]")
-
-    if (cfg.use_d1 or cfg.warm_start_v) and pre is None:
-        raise SpecError(
-            "configuration uses the row discriminator or a warm-started V; "
-            "pre-trained factors are required"
+    # written so that NaN fails it too
+    if not np.all((ov > 0.0) & (ov <= 1.0)):
+        raise ValidationError("training expects finite data normalized to (0, 1]")
+    if pre is None:
+        raise SpecError("pre-trained factors are required")
+    if pre.U.shape != (m, cfg.h) or pre.V.shape != (cfg.h, n):
+        raise ShapeError(
+            f"pre-trained factors {pre.U.shape}/{pre.V.shape} do not match "
+            f"data {m}x{n} at rank {cfg.h}"
         )
-    if pre is not None:
-        if pre.U.shape != (m, cfg.h) or pre.V.shape != (cfg.h, n):
-            raise ShapeError(
-                f"pre-trained factors {pre.U.shape}/{pre.V.shape} do not match "
-                f"data {m}x{n} at rank {cfg.h}"
-            )
-        # rescale (U/c, c*V): the product is unchanged but the row embeddings
-        # land inside the generator's sigmoid range, so the row game is fair
-        c = float(pre.U.max()) / 0.95
-        if c > 0:
-            pre = FactorPair(np.maximum(pre.U / c, EPS_FLOOR), np.maximum(pre.V * c, EPS_FLOOR))
+    # rescale (U/c, c*V): the product is unchanged but the row embeddings
+    # land inside the generator's sigmoid range, so the row game is fair;
+    # c > 0 since FactorPair holds U >= EPS_FLOOR
+    c = float(pre.U.max()) / 0.95
+    pre = FactorPair(np.maximum(pre.U / c, EPS_FLOOR), np.maximum(pre.V * c, EPS_FLOOR))
 
     init_rng, batch_rng, noise_rng, hint_rng, y_rng = spawn_rngs(cfg.seed, 5)
     model = build_model(cfg, m, n, pre, init_rng)
-    counters = CallCounters()
     trace = {"d1": [], "d2": [], "mf_term": [], "g_total": []}
     # Polyak average of the generator-side weights: the final imputation pass
     # runs from these, which removes the snapshot noise of adversarial steps.
@@ -586,23 +526,22 @@ def train(xm: MaskedMatrix, pre: FactorPair | None, cfg: BlockEchoConfig):
         xb = values[rows]
         mb = mask[rows]
         zb = uniform(noise_rng, cfg.batch_rows, cfg.h, 0.0, NOISE_HIGH)
-        upb = pre.U[rows] if pre is not None else None
+        upb = pre.U[rows]
         hb = yb = None
         d1_val = d2_val = float("nan")
 
         if cfg.alpha < 1.0:
             u = generator_forward(model, xb, mb, zb)
             xhat = mcl_forward(model, u)
-            xbar = _assemble(xb, mb, xhat)
-            for _ in range(cfg.d_steps_per_g):
-                if cfg.use_d2:
-                    hb = build_hint(mb, cfg.hint_rate, hint_rng)
-                    d2_val = _d2_update(model, xbar, hb, mb, counters)
-                if cfg.use_d1:
-                    yb = bernoulli(y_rng, cfg.batch_rows, 1, 0.5)
-                    d1_val = _d1_update(model, mix_rows(upb, u, yb), yb, counters)
+            if cfg.use_d2:
+                hb = build_hint(mb, cfg.hint_rate, hint_rng)
+                xbar = np.hstack([_assemble(xb, mb, xhat), hb])
+                d2_val = _d_step(model.d2, model.opt_d2, "d2", xbar, mb)
+            if cfg.use_d1:
+                yb = bernoulli(y_rng, cfg.batch_rows, 1, 0.5)
+                d1_val = _d_step(model.d1, model.opt_d1, "d1", mix_rows(upb, u, yb), yb)
 
-        g_total, recon = _g_step(model, GBatch(xb, mb, zb, hb, yb, upb), cfg, counters)
+        g_total, recon = _g_step(model, GBatch(xb, mb, zb, hb, yb, upb), cfg)
         if ema is not None:
             for k, v in _g_params(model).items():
                 ema[k] *= cfg.ema_decay
@@ -630,7 +569,6 @@ def train(xm: MaskedMatrix, pre: FactorPair | None, cfg: BlockEchoConfig):
         loss_trace=trace,
         config=cfg.to_dict(),
         wall_time=time.perf_counter() - t0,
-        counters=counters,
     )
     return model, result
 

@@ -12,7 +12,7 @@ cells.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,6 @@ class MaskedMatrix:
 
     values: np.ndarray
     mask: np.ndarray
-    sentinel: float = SENTINEL
 
     def __post_init__(self):
         self.values = as_matrix(self.values)
@@ -57,7 +56,7 @@ class MaskedMatrix:
         if self.values.shape != self.mask.shape:
             raise ShapeError(f"values {self.values.shape} != mask {self.mask.shape}")
         _check_binary(self.mask)
-        if not np.all(self.values[self.mask == 0] == self.sentinel):
+        if not np.all(self.values[self.mask == 0] == SENTINEL):
             raise ValidationError("missing entries must hold the sentinel value")
 
     @property

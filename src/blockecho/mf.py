@@ -50,7 +50,8 @@ class FactorPair:
             raise SpecError(f"U is {self.U.shape}, V is {self.V.shape}: inner dims differ")
         if self.U.shape[1] < 1:
             raise SpecError("rank h must be at least 1")
-        if np.min(self.U) < EPS_FLOOR or np.min(self.V) < EPS_FLOOR:
+        # written so that NaN fails it too
+        if not (np.min(self.U) >= EPS_FLOOR and np.min(self.V) >= EPS_FLOOR):
             raise ValidationError(f"factor entries must be >= {EPS_FLOOR}")
 
     @property
@@ -190,8 +191,8 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
         raise SpecError("cannot factorize: the mask has no observed entries")
     idx = np.flatnonzero(obs)
     xv = x.ravel()[idx]
-    if np.any(xv < 0):
-        raise ValidationError("observed values must be nonnegative; normalize first")
+    if not np.all(np.isfinite(xv)) or np.any(xv < 0):
+        raise ValidationError("observed values must be finite and nonnegative; normalize first")
     xs, zero = _zeros_to_one(xv)
     xo = np.where(obs, x, 0.0)
     factors = init_factors(x, mask, h, seed)

@@ -28,6 +28,30 @@ def toy_setup(m=6, n=4, seed=0, missing=0.4, **cfg_kw):
     return xm, x, rcfg, pre, model
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Records gan's kl_loss calls as "kl" and its net_forward calls as the
+    net they ran; count one net's forwards with forwards(calls, net)."""
+    seen = []
+    kl_loss, net_forward = G.kl_loss, G.net_forward
+
+    def counted_kl(*args):
+        seen.append("kl")
+        return kl_loss(*args)
+
+    def counted_forward(net, x):
+        seen.append(net)
+        return net_forward(net, x)
+
+    monkeypatch.setattr(G, "kl_loss", counted_kl)
+    monkeypatch.setattr(G, "net_forward", counted_forward)
+    return seen
+
+
+def forwards(calls, net):
+    return sum(c is net for c in calls)
+
+
 def full_gbatch(xm, rcfg, pre, seed=0):
     rng = K.make_rng(seed + 99)
     m, n = xm.shape
@@ -204,44 +228,30 @@ class TestDLosses:
 
 
 class TestCombinedLoss:
-    def test_alpha_one_is_pure_kl(self):
+    def test_alpha_one_is_pure_kl(self, calls):
         xm, _, rcfg, pre, model = toy_setup(alpha=1.0)
         gb = full_gbatch(xm, rcfg, pre)
-        counters = G.CallCounters()
-        total = G.combined_g_loss(model, gb, rcfg, counters)
+        total = G.combined_g_loss(model, gb, rcfg)
+        assert calls.count("kl") == 1
+        assert forwards(calls, model.d1) == 0 and forwards(calls, model.d2) == 0
         xhat = G.mcl_forward(model, G.generator_forward(model, gb.x, gb.mask, gb.z))
         expected = mf.kl_loss(gb.x, np.maximum(xhat, G.LOG_EPS), gb.mask)
         assert abs(total - expected) < 1e-12
-        assert counters.d1 == 0 and counters.d2 == 0
 
-    def test_alpha_zero_never_touches_kl(self):
+    def test_alpha_zero_never_touches_kl(self, calls):
         xm, _, rcfg, pre, model = toy_setup(alpha=0.0)
         gb = full_gbatch(xm, rcfg, pre)
-        counters = G.CallCounters()
-        G.combined_g_loss(model, gb, rcfg, counters)
-        assert counters.kl == 0 and counters.mse == 0
-        assert counters.d1 == 1 and counters.d2 == 1
+        G.combined_g_loss(model, gb, rcfg)
+        assert calls.count("kl") == 0
+        assert forwards(calls, model.d1) == 1 and forwards(calls, model.d2) == 1
 
     def test_convex_combination(self):
         xm, _, rcfg, pre, model = toy_setup()
         gb = full_gbatch(xm, rcfg, pre)
-        import dataclasses
-
         adv = G.combined_g_loss(model, gb, dataclasses.replace(rcfg, alpha=0.0))
         rec = G.combined_g_loss(model, gb, dataclasses.replace(rcfg, alpha=1.0))
         mid = G.combined_g_loss(model, gb, dataclasses.replace(rcfg, alpha=0.5))
         assert abs(mid - (0.5 * adv + 0.5 * rec)) < 1e-9
-
-    def test_mse_mode(self):
-        xm, _, rcfg, pre, model = toy_setup(alpha=1.0, loss_mode="mse")
-        gb = full_gbatch(xm, rcfg, pre)
-        counters = G.CallCounters()
-        total = G.combined_g_loss(model, gb, rcfg, counters)
-        xhat = G.mcl_forward(model, G.generator_forward(model, gb.x, gb.mask, gb.z))
-        obs = gb.mask > 0
-        expected = float(np.sum(((gb.x - xhat) * gb.mask) ** 2) / obs.sum())
-        assert abs(total - expected) < 1e-12
-        assert counters.mse == 1 and counters.kl == 0
 
 
 class TestGradients:
@@ -260,9 +270,6 @@ class TestGradients:
 
     def test_identity_head_path(self):
         assert self.fd_check(50, mcl_layers=None) < 1e-4
-
-    def test_mse_path(self):
-        assert self.fd_check(51, loss_mode="mse") < 1e-4
 
     def test_kl_only_path(self):
         assert self.fd_check(52, alpha=1.0) < 1e-4
@@ -286,7 +293,6 @@ class TestTrain:
         cfg = G.BlockEchoConfig(h=2, iters=0, seed=4)
         pre, _ = mf.pretrain(xm, 2, max_iters=30, seed=4)
         model, result = G.train(xm, pre, cfg)
-        z = None  # the imputation must equal a fresh assembly from the initial model
         obs = xm.mask > 0
         assert np.array_equal(result.imputed[obs], xm.values[obs])
         assert np.all((result.imputed >= 0) & np.isfinite(result.imputed))
@@ -323,15 +329,16 @@ class TestTrain:
         assert np.array_equal(r1.imputed, r2.imputed)
         assert r1.loss_trace == r2.loss_trace
 
-    def test_alpha_boundaries_short_circuit(self):
+    def test_alpha_boundaries_short_circuit(self, calls):
         xm, _ = toy_instance(m=8, n=5, seed=4, missing=0.4)
         pre, _ = mf.pretrain(xm, 2, max_iters=30, seed=1)
-        _, r_kl = G.train(xm, pre, G.BlockEchoConfig(h=2, iters=10, alpha=1.0, seed=1))
-        assert r_kl.counters.d1 == 0 and r_kl.counters.d2 == 0
-        assert r_kl.counters.kl == 10
-        _, r_adv = G.train(xm, pre, G.BlockEchoConfig(h=2, iters=10, alpha=0.0, seed=1))
-        assert r_adv.counters.kl == 0 and r_adv.counters.mse == 0
-        assert r_adv.counters.d1 > 0 and r_adv.counters.d2 > 0
+        m_kl, _ = G.train(xm, pre, G.BlockEchoConfig(h=2, iters=10, alpha=1.0, seed=1))
+        assert forwards(calls, m_kl.d1) == 0 and forwards(calls, m_kl.d2) == 0
+        assert calls.count("kl") == 10
+        calls.clear()
+        m_adv, _ = G.train(xm, pre, G.BlockEchoConfig(h=2, iters=10, alpha=0.0, seed=1))
+        assert calls.count("kl") == 0
+        assert forwards(calls, m_adv.d1) > 0 and forwards(calls, m_adv.d2) > 0
 
     def test_losses_traced(self):
         xm, _ = toy_instance(m=8, n=5, seed=5, missing=0.4)
@@ -358,17 +365,32 @@ class TestTrain:
         with pytest.raises(ValidationError, match="normalized"):
             G.train(xm, pre, G.BlockEchoConfig(h=2, iters=5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observed_value_rejected(self, bad):
+        xm, _ = toy_instance(m=8, n=5, seed=7, missing=0.4)
+        pre, _ = mf.pretrain(xm, 2, max_iters=10, seed=7)
+        values = xm.values.copy()
+        i, j = np.argwhere(xm.mask > 0)[0]
+        values[i, j] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            G.train(MaskedMatrix(values, xm.mask), pre, G.BlockEchoConfig(h=2, iters=2))
+
     def test_missing_pretrain_rejected(self):
         xm, _ = toy_instance()
         with pytest.raises(SpecError, match="pre-trained"):
             G.train(xm, None, G.BlockEchoConfig(h=2, iters=5))
 
-    def test_gan_only_style_runs_without_pretrain(self):
+    def test_gan_only_style_runs_without_row_discriminator(self, calls):
         xm, _ = toy_instance(m=10, n=6, seed=6, missing=0.5)
-        cfg = G.BlockEchoConfig(h=2, iters=20, use_d1=False, warm_start_v=False, seed=3)
-        model, result = G.train(xm, None, cfg)
-        assert model.d1 is None
-        assert result.counters.d1 == 0 and result.counters.d2 > 0
+        pre, _ = mf.pretrain(xm, 2, max_iters=30, seed=3)
+        cfg = G.BlockEchoConfig(h=2, iters=20, use_d1=False, seed=3)
+        model, result = G.train(xm, pre, cfg)
+        assert model.d1 is None and model.opt_d1 is None
+        assert forwards(calls, model.d2) > 0
+        assert np.all(np.isfinite(result.imputed))
+        # V always starts from the pre-trained factors, so they stay required
+        with pytest.raises(SpecError, match="pre-trained"):
+            G.train(xm, None, cfg)
 
     def test_full_beats_adv_only_on_block_missing(self):
         # paired runs on a rank-3 instance with a 40% block: the combined

@@ -136,6 +136,13 @@ class TestPretrain:
         with pytest.raises(SpecError):
             mf.pretrain(xm, h=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observed_value_rejected(self, bad):
+        x, mask = random_instance(6, 5, 8)
+        x[2, 3] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            mf.pretrain(apply_mask(x, mask), h=2, max_iters=5)
+
     def test_recovery_oracle_scattered(self):
         # rank <= 3 positive matrices, 60% scattered missing: RMSE on the
         # hidden cells, measured on the normalized scale, < 0.05 for at
@@ -229,6 +236,16 @@ class TestImputeAndIO:
             mf.FactorPair(np.ones((3, 0)), np.ones((0, 2)))
         with pytest.raises(SpecError):
             mf.init_factors(np.ones((3, 3)), np.ones((3, 3)), 0, 0)
+
+    def test_nan_factor_rejected(self):
+        # NaN compares false against the floor, so the check must be
+        # written as "not >= EPS_FLOOR" to catch it
+        U = np.ones((3, 2))
+        U[1, 0] = np.nan
+        with pytest.raises(ValidationError):
+            mf.FactorPair(U, np.ones((2, 4)))
+        with pytest.raises(ValidationError):
+            mf.FactorPair(np.ones((2, 1)), np.array([[1.0, np.nan]]))
 
     def test_floor_factors(self):
         f = mf.FactorPair(
