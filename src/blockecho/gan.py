@@ -363,14 +363,14 @@ def _g_grads(model, gb: GBatch, cfg, fw: _GForward):
         d_out = np.where(
             (gb.mask == 0) & inb, -one_m_alpha / (1.0 - _clip_unit(fw.d2_out)), 0.0
         )
-        _, d_in = net_backward(model.d2, fw.d2_cache, d_out)
+        _, d_in = net_backward(model.d2, fw.d2_cache, d_out, params=False)
         # assembly blocks the observed cells, so only mask=0 cells pass through
         d_xhat += d_in[:, : model.n] * (gb.mask == 0)
 
     if cfg.alpha < 1.0 and cfg.use_d1:
         inb = (fw.d1_out > LOG_EPS) & (fw.d1_out < 1.0 - LOG_EPS)
         d_out = np.where((gb.y == 0) & inb, -one_m_alpha / _clip_unit(fw.d1_out), 0.0)
-        _, d_ud = net_backward(model.d1, fw.d1_cache, d_out)
+        _, d_ud = net_backward(model.d1, fw.d1_cache, d_out, params=False)
         # rows mixed from the pre-trained factors are constants
         d_u += d_ud * (gb.y == 0)
 
@@ -387,7 +387,7 @@ def _g_grads(model, gb: GBatch, cfg, fw: _GForward):
 
     d_v = fw.u.T @ d_p
     d_u += d_p @ model.V.T
-    g_grads, _ = net_backward(model.generator, fw.g_cache, d_u)
+    g_grads, _ = net_backward(model.generator, fw.g_cache, d_u, inputs=False)
 
     grads = net_grads_dict(g_grads, "g")
     if mcl_grads is not None:
@@ -411,7 +411,7 @@ def _d_step(net, opt, prefix, inp, target):
     val = _bce_sum(p, target)
     inb = (out > LOG_EPS) & (out < 1.0 - LOG_EPS)
     d_out = np.where(inb, -(target / p - (1.0 - target) / (1.0 - p)), 0.0)
-    grads, _ = net_backward(net, cache, d_out)
+    grads, _ = net_backward(net, cache, d_out, inputs=False)
     adam_step(opt, net_params(net, prefix), net_grads_dict(grads, prefix))
     return val
 

@@ -8,7 +8,7 @@ of the analytic backward pass, and seedable PCG64 random streams.
 Everything here is deterministic given explicit inputs and RNG state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +26,11 @@ def as_matrix(data) -> np.ndarray:
 
 
 def _sigmoid(z):
-    # split by sign so exp never overflows
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, e / (1 + e) below,
+    # the same operations per element as splitting z by sign
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 
@@ -127,29 +126,32 @@ def net_forward(net: DenseNet, x):
     inputs, pre = [x], []
     a = x
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = a @ w + b
+        z = a @ w
+        z += b
         a = _apply_activation(act, z)
         pre.append(z)
         inputs.append(a)
     return a, ForwardCache(id(net), inputs, pre, a)
 
 
-def net_backward(net: DenseNet, cache: ForwardCache, out_grad):
+def net_backward(net: DenseNet, cache: ForwardCache, out_grad, *, params=True, inputs=True):
     """Exact gradients for the scalar loss whose d(loss)/d(output) is out_grad.
 
-    Returns (per-layer [(dW, db), ...], d(loss)/d(input)).
+    Returns (per-layer [(dW, db), ...], d(loss)/d(input)); a part not asked
+    for (params=False or inputs=False) is not computed and comes back None.
     """
     if cache.net_id != id(net) or len(cache.pre) != len(net.weights):
         raise ValidationError("forward cache does not belong to this network")
     out_grad = as_matrix(out_grad)
     if out_grad.shape != cache.out.shape:
         raise ShapeError(f"output grad {out_grad.shape} != output {cache.out.shape}")
-    grads = [None] * len(net.weights)
+    grads = [None] * len(net.weights) if params else None
     d = out_grad
     for i in range(len(net.weights) - 1, -1, -1):
         dz = d * _activation_grad(net.activations[i], cache.pre[i], cache.inputs[i + 1])
-        grads[i] = (cache.inputs[i].T @ dz, dz.sum(axis=0, keepdims=True))
-        d = dz @ net.weights[i].T
+        if params:
+            grads[i] = (cache.inputs[i].T @ dz, dz.sum(axis=0, keepdims=True))
+        d = dz @ net.weights[i].T if i or inputs else None
     return grads, d
 
 
@@ -172,38 +174,77 @@ def net_grads_dict(grads, prefix: str) -> dict:
 
 @dataclass
 class AdamState:
-    """Adaptive moment estimation state for a named group of parameters."""
+    """Adaptive moment estimation state for a named group of parameters.
+
+    The first step fixes the group: the moments m and v are one flat buffer
+    each, holding that step's blocks end to end in the order it lists them
+    (layout holds (name, shape, start, stop) per block), and every later
+    step must bring the same block names and shapes.
+    """
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    layout: tuple = ()
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+
+
+def _layout(grads) -> tuple:
+    blocks, start = [], 0
+    for name, g in grads.items():
+        blocks.append((name, g.shape, start, start + g.size))
+        start += g.size
+    return tuple(blocks)
 
 
 def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
-    """One bias-corrected Adam update, applied in place to the param arrays."""
+    """One bias-corrected Adam update, applied in place to the param arrays.
+
+    Every check runs before the state or a parameter changes.
+    """
     for name, g in grads.items():
         if name not in params:
             raise ValidationError(f"gradient for unknown parameter block '{name}'")
         if params[name].shape != g.shape:
             raise ShapeError(f"block '{name}': param {params[name].shape} != grad {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in parameter block '{name}'")
+    layout = state.layout if state.m is not None else _layout(grads)
+    if len(grads) != len(layout) or any(
+        name not in grads or grads[name].shape != shape for name, shape, _, _ in layout
+    ):
+        raise ValidationError(
+            f"gradient blocks {[(k, g.shape) for k, g in grads.items()]} differ from "
+            f"the first step's {[(name, shape) for name, shape, _, _ in layout]}"
+        )
+    g = np.concatenate([grads[name].reshape(-1) for name, _, _, _ in layout] or [np.zeros(0)])
+    if not np.isfinite(g).all():
+        for name, _, start, stop in layout:
+            if not np.isfinite(g[start:stop]).all():
+                raise TrainingError(f"non-finite gradient in parameter block '{name}'")
+    if state.m is None:
+        state.layout, state.m, state.v = layout, np.zeros_like(g), np.zeros_like(g)
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for name, g in grads.items():
-        m = state.m.setdefault(name, np.zeros_like(g))
-        v = state.v.setdefault(name, np.zeros_like(g))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        params[name] -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    scratch = (1.0 - state.beta2) * g
+    scratch *= g
+    v += scratch
+    # step = lr * (m / c1) / (sqrt(v / c2) + eps), built in g
+    np.divide(v, c2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.eps
+    np.divide(m, c1, out=g)
+    g *= state.lr
+    g /= scratch
+    for name, shape, start, stop in layout:
+        params[name] -= g[start:stop].reshape(shape)
     return params
 
 

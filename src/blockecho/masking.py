@@ -45,7 +45,7 @@ class MaskSpec:
 
 @dataclass
 class MaskedMatrix:
-    """Observed values plus their binary mask; missing cells hold the sentinel."""
+    """Finite observed values plus their binary mask; missing cells hold the sentinel."""
 
     values: np.ndarray
     mask: np.ndarray
@@ -58,6 +58,9 @@ class MaskedMatrix:
         _check_binary(self.mask)
         if not np.all(self.values[self.mask == 0] == SENTINEL):
             raise ValidationError("missing entries must hold the sentinel value")
+        # missing cells hold the finite sentinel, so this checks observed ones
+        if not np.all(np.isfinite(self.values)):
+            raise ValidationError("observed values must be finite")
 
     @property
     def shape(self):

@@ -75,9 +75,10 @@ def kl_loss(x, xhat, mask) -> float:
         raise SpecError(f"shape mismatch: x {x.shape}, xhat {xhat.shape}, mask {mask.shape}")
     obs = mask > 0
     xv = x[obs]
-    if np.any(xv < 0):
+    # written so that NaN fails it too
+    if not np.all((xv >= 0) & (xv < np.inf)):
         raise ValidationError(
-            "observed values must be nonnegative; run metrics.normalize first"
+            "observed values must be finite and nonnegative; run metrics.normalize first"
         )
     return _kl_sum(xv, xhat[obs], *_zeros_to_one(xv))
 

@@ -369,11 +369,10 @@ class TestTrain:
     def test_non_finite_observed_value_rejected(self, bad):
         xm, _ = toy_instance(m=8, n=5, seed=7, missing=0.4)
         pre, _ = mf.pretrain(xm, 2, max_iters=10, seed=7)
-        values = xm.values.copy()
         i, j = np.argwhere(xm.mask > 0)[0]
-        values[i, j] = bad
+        xm.values[i, j] = bad  # set after MaskedMatrix's own check
         with pytest.raises(ValidationError, match="finite"):
-            G.train(MaskedMatrix(values, xm.mask), pre, G.BlockEchoConfig(h=2, iters=2))
+            G.train(xm, pre, G.BlockEchoConfig(h=2, iters=2))
 
     def test_missing_pretrain_rejected(self):
         xm, _ = toy_instance()

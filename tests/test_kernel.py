@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,144 @@ class TestBackward:
 
         numeric = K.fd_gradient(loss, params)
         assert K.max_rel_error(analytic, numeric) < 1e-4
+
+
+def two_branch_sigmoid(z):
+    """The sign-split sigmoid the kernel used before its branch-free form."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSigmoidBitExact:
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 745.0, -745.0,
+             800.0, -800.0, np.inf, -np.inf]
+
+    def test_edge_grid(self):
+        z = np.array([self.EDGES])
+        assert same_bits(K._sigmoid(z), two_branch_sigmoid(z))
+
+    @pytest.mark.parametrize("shape", [(128, 64), (8192, 1), (3, 5)])
+    def test_random_normals(self, shape):
+        z = K.make_rng(sum(shape)).standard_normal(shape) * 30.0
+        assert same_bits(K._sigmoid(z), two_branch_sigmoid(z))
+
+    def test_nan_stays_nan(self):
+        out = K._sigmoid(np.array([[np.nan, 0.0, -np.nan]]))
+        assert np.isnan(out[0, 0]) and np.isnan(out[0, 2]) and out[0, 1] == 0.5
+
+
+class TestBackwardParts:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_skipped_parts_are_none_and_the_rest_bit_equal(self, seed):
+        rng = K.make_rng(50 + seed)
+        sizes = [int(rng.integers(1, 9)) for _ in range(seed % 3 + 2)]
+        acts = [str(rng.choice(["relu", "sigmoid", "identity"])) for _ in sizes[1:]]
+        net = K.init_dense(sizes, acts, rng)
+        out, cache = K.net_forward(net, rng.standard_normal((6, sizes[0])))
+        d_out = rng.standard_normal(out.shape)
+        grads, d_in = K.net_backward(net, cache, d_out)
+
+        only_params, none_in = K.net_backward(net, cache, d_out, inputs=False)
+        assert none_in is None
+        assert len(only_params) == len(grads)
+        for (dw, db), (dw2, db2) in zip(grads, only_params):
+            assert same_bits(dw, dw2) and same_bits(db, db2)
+
+        none_params, only_in = K.net_backward(net, cache, d_out, params=False)
+        assert none_params is None
+        assert same_bits(d_in, only_in)
+
+        assert K.net_backward(net, cache, d_out, params=False, inputs=False) == (None, None)
+
+
+def per_block_adam(state, params, grads):
+    """Reference: Adam at AdamState's default settings, one moment array per block."""
+    state["step"] += 1
+    t = state["step"]
+    c1 = 1.0 - 0.9 ** t
+    c2 = 1.0 - 0.999 ** t
+    for name, g in grads.items():
+        m = state["m"].setdefault(name, np.zeros_like(g))
+        v = state["v"].setdefault(name, np.zeros_like(g))
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        params[name] -= 1e-3 * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+
+
+class TestAdamFlatBitExact:
+    SHAPES = {"a.w0": (7, 5), "a.b0": (1, 5), "a.w1": (5, 1), "a.b1": (1, 1), "v": (3, 4)}
+
+    def test_matches_per_block_reference(self):
+        rng = K.make_rng(21)
+        p_flat = {k: rng.standard_normal(s) for k, s in self.SHAPES.items()}
+        p_ref = {k: v.copy() for k, v in p_flat.items()}
+        state, ref = K.AdamState(), {"step": 0, "m": {}, "v": {}}
+        for step in range(6):
+            grads = {k: rng.standard_normal(s) * 10.0 ** (step - 3) for k, s in self.SHAPES.items()}
+            if step == 2:
+                grads["a.b1"][0, 0] = 0.0
+            K.adam_step(state, p_flat, grads)
+            per_block_adam(ref, p_ref, grads)
+            for k in self.SHAPES:
+                assert same_bits(p_flat[k], p_ref[k]), (step, k)
+        assert state.step == 6
+
+
+class TestAdamGuard:
+    def first_step(self):
+        state = K.AdamState()
+        params = {"w": np.zeros((2, 3)), "b": np.zeros((1, 3))}
+        K.adam_step(state, params, {"w": np.ones((2, 3)), "b": np.ones((1, 3))})
+        return state, params
+
+    @pytest.mark.parametrize("grads", [
+        {"w": np.ones((2, 3))},                                            # block missing
+        {"w": np.ones((2, 3)), "b": np.ones((1, 3)), "c": np.ones((1, 1))},  # block added
+        {"w": np.ones((2, 3)), "c": np.ones((1, 3))},                      # block renamed
+    ])
+    def test_block_set_must_match_the_first_step(self, grads):
+        state, _ = self.first_step()
+        with pytest.raises(ValidationError, match="first step"):
+            K.adam_step(state, {k: np.zeros_like(g) for k, g in grads.items()}, grads)
+
+    def test_block_shape_must_match_the_first_step(self):
+        state, _ = self.first_step()
+        with pytest.raises(ValidationError, match="first step"):
+            K.adam_step(state, {"w": np.zeros((3, 2)), "b": np.zeros((1, 3))},
+                        {"w": np.ones((3, 2)), "b": np.ones((1, 3))})
+
+    def test_block_order_may_change(self):
+        state, params = self.first_step()
+        other, params2 = self.first_step()
+        grads = {"w": np.full((2, 3), 0.5), "b": np.full((1, 3), -2.0)}
+        K.adam_step(state, params, grads)
+        K.adam_step(other, params2, dict(reversed(list(grads.items()))))
+        assert all(same_bits(params[k], params2[k]) for k in params)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_non_finite_gradient_leaves_the_state(self, first):
+        if first:
+            state, params = K.AdamState(), {"w": np.zeros((2, 3)), "b": np.zeros((1, 3))}
+        else:
+            state, params = self.first_step()
+        before = copy.deepcopy((state, params))
+        with pytest.raises(TrainingError, match="'b'"):
+            K.adam_step(state, params, {"w": np.ones((2, 3)), "b": np.array([[1.0, np.inf, 0.0]])})
+        assert state.step == before[0].step
+        assert state.layout == before[0].layout
+        for now, then in ((state.m, before[0].m), (state.v, before[0].v)):
+            assert (now is None and then is None) or same_bits(now, then)
+        assert all(same_bits(params[k], before[1][k]) for k in params)
 
 
 class TestAdam:

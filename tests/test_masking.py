@@ -187,3 +187,16 @@ class TestMaskSpecAndIO:
     def test_masked_matrix_invariants(self):
         with pytest.raises(ValidationError):
             M.MaskedMatrix(np.ones((2, 2)), np.zeros((2, 2)))  # values not sentinel
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observed_value_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            M.MaskedMatrix([[bad]], [[1.0]])
+        with pytest.raises(ValidationError, match="finite"):
+            M.apply_mask([[1.0, bad]], [[1.0, 1.0]])
+
+    def test_non_finite_value_in_missing_cell_is_not_a_sentinel(self):
+        with pytest.raises(ValidationError, match="sentinel"):
+            M.MaskedMatrix([[1.0, np.nan]], [[1.0, 0.0]])
+        # apply_mask replaces it
+        assert M.apply_mask([[1.0, np.nan]], [[1.0, 0.0]]).values[0, 1] == M.SENTINEL

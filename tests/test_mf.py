@@ -41,6 +41,14 @@ class TestKlLoss:
         mask = np.array([[1.0, 0.0]])
         assert mf.kl_loss(x, xhat, mask) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observed_value_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            mf.kl_loss([[bad, 0.5]], [[1.0, 1.0]], np.ones((1, 2)))
+
+    def test_non_finite_value_in_masked_cell_ignored(self):
+        assert mf.kl_loss([[1.0, np.nan]], [[1.0, 1.0]], [[1.0, 0.0]]) == 0.0
+
 
 class TestMuStep:
     def test_fixed_point_when_exact(self):
@@ -139,9 +147,10 @@ class TestPretrain:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_observed_value_rejected(self, bad):
         x, mask = random_instance(6, 5, 8)
-        x[2, 3] = bad
+        xm = apply_mask(x, mask)
+        xm.values[2, 3] = bad  # set after MaskedMatrix's own check
         with pytest.raises(ValidationError, match="finite"):
-            mf.pretrain(apply_mask(x, mask), h=2, max_iters=5)
+            mf.pretrain(xm, h=2, max_iters=5)
 
     def test_recovery_oracle_scattered(self):
         # rank <= 3 positive matrices, 60% scattered missing: RMSE on the
