@@ -146,16 +146,18 @@ def _parse_cell(token, line_no, col_no):
 
 def load_csv(path, header=False, index=False) -> Dataset:
     """Rectangular numeric CSV -> Dataset. Ragged rows are rejected."""
-    with open(path, newline="") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     col_labels = None
-    if header:
-        col_labels = [c.strip() for c in rows[0][1]]
-        rows = rows[1:]
+    if header and rows:
+        col_labels = [c.strip() for c in rows.pop(0)[1]]
         if index and col_labels:
             col_labels = col_labels[1:]
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
     row_labels = []
     data = []
     width = None
@@ -177,25 +179,6 @@ def load_csv(path, header=False, index=False) -> Dataset:
     if len(col_labels) != n:
         raise ParseError(f"header has {len(col_labels)} labels for {n} columns")
     return Dataset(values, row_labels, col_labels)
-
-
-def save_csv(values, path, mask=None):
-    """Write values as CSV; cells where mask == 0 are left empty."""
-    values = as_matrix(values)
-    if mask is not None:
-        mask = as_matrix(mask)
-        if mask.shape != values.shape:
-            raise ShapeError(f"mask {mask.shape} != values {values.shape}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i in range(values.shape[0]):
-            row = []
-            for j in range(values.shape[1]):
-                if mask is not None and mask[i, j] == 0:
-                    row.append("")
-                else:
-                    row.append(f"{values[i, j]:.17g}")
-            writer.writerow(row)
 
 
 # ---------------------------------------------------------------------------

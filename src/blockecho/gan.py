@@ -37,7 +37,6 @@ suite.
 
 import time
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -53,6 +52,7 @@ from .kernel import (
     net_forward,
     net_grads_dict,
     net_params,
+    require_int,
     spawn_rngs,
     uniform,
 )
@@ -101,6 +101,9 @@ class BlockEchoConfig:
 
     def resolved(self, m, n) -> "BlockEchoConfig":
         """Fill size-dependent defaults and validate against an m x n matrix."""
+        h = self.h if self.h is not None else min(16, -(-min(m, n) // 4))
+        batch = self.batch_rows if self.batch_rows is not None else min(m, 128)
+        require_int(h=h, iters=self.iters, batch_rows=batch, pretrain_iters=self.pretrain_iters)
         if not 0.0 <= self.alpha <= 1.0:
             raise SpecError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 <= self.hint_rate <= 1.0:
@@ -109,10 +112,8 @@ class BlockEchoConfig:
             raise SpecError(f"iters must be >= 0, got {self.iters}")
         if not 0.0 <= self.ema_decay < 1.0:
             raise SpecError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
-        h = self.h if self.h is not None else min(16, -(-min(m, n) // 4))
         if h < 1:
             raise SpecError(f"rank h must be at least 1, got {h}")
-        batch = self.batch_rows if self.batch_rows is not None else min(m, 128)
         if not 1 <= batch <= m:
             raise SpecError(f"batch_rows {batch} outside 1..{m}")
         g = tuple(self.g_layers) if self.g_layers else (2 * n + h, n, h)
@@ -138,18 +139,6 @@ class BlockEchoConfig:
             if out[key] is not None:
                 out[key] = list(out[key])
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BlockEchoConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        clean = dict(data)
-        for key in ("g_layers", "d1_layers", "d2_layers", "mcl_layers"):
-            if key in clean and clean[key] is not None:
-                clean[key] = tuple(clean[key]) or None
-        return cls(**clean)
 
 
 @dataclass
@@ -218,35 +207,6 @@ def _clip_unit(p):
 def _bce_sum(p, target) -> float:
     """sum of target*log p + (1-target)*log(1-p) for p already clipped."""
     return float(np.sum(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
-
-
-def d1_loss(d1_out, y) -> float:
-    """Row-level objective: sum of y*log D + (1-y)*log(1-D); the
-    discriminator ascends it."""
-    d1_out = as_matrix(d1_out)
-    y = as_matrix(y)
-    if d1_out.shape != y.shape or d1_out.shape[1] != 1:
-        raise ShapeError(f"expected column vectors, got {d1_out.shape} and {y.shape}")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValidationError("row indicator entries must be exactly 0 or 1")
-    return _bce_sum(_clip_unit(d1_out), y)
-
-
-def d2_loss(d2_out, mask) -> float:
-    """Element-level objective: sum of M*log D + (1-M)*log(1-D)."""
-    d2_out = as_matrix(d2_out)
-    mask = as_matrix(mask)
-    if d2_out.shape != mask.shape:
-        raise ShapeError(f"scores {d2_out.shape} != mask {mask.shape}")
-    return _bce_sum(_clip_unit(d2_out), mask)
-
-
-def assemble(xm: MaskedMatrix, xhat) -> np.ndarray:
-    """Observed entries from the data (bit-exact), missing ones from xhat."""
-    xhat = as_matrix(xhat)
-    if xhat.shape != xm.shape:
-        raise ShapeError(f"estimate {xhat.shape} != data {xm.shape}")
-    return _assemble(xm.values, xm.mask, xhat)
 
 
 def _assemble(values, mask, xhat):
@@ -337,11 +297,6 @@ def _g_forward(model, gb: GBatch, cfg) -> _GForward:
 
     fw.total = (1.0 - cfg.alpha) * (fw.adv1 + fw.adv2) + cfg.alpha * fw.recon
     return fw
-
-
-def combined_g_loss(model, gb: GBatch, cfg) -> float:
-    """Value of the generator's combined objective on one batch."""
-    return _g_forward(model, gb, cfg).total
 
 
 def _g_params(model):
@@ -572,66 +527,3 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     )
     return model, result
 
-
-# ---------------------------------------------------------------------------
-# Checkpointing.
-
-def save_model(model: EchoModel, out_dir, config_echo: dict | None = None):
-    """All parameter arrays as one npz plus a JSON structure/config echo."""
-    import json
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    arrays = dict(_g_params(model))
-    structure = {
-        "h": model.h,
-        "n": model.n,
-        "generator": {"sizes": model.generator.sizes, "activations": model.generator.activations},
-        "mcl": None if model.mcl is None
-        else {"sizes": model.mcl.sizes, "activations": model.mcl.activations},
-        "d1": None, "d2": None,
-    }
-    if model.d1 is not None:
-        arrays.update(net_params(model.d1, "d1"))
-        structure["d1"] = {"sizes": model.d1.sizes, "activations": model.d1.activations}
-    if model.d2 is not None:
-        arrays.update(net_params(model.d2, "d2"))
-        structure["d2"] = {"sizes": model.d2.sizes, "activations": model.d2.activations}
-    np.savez(out_dir / "params.npz", **arrays)
-    if config_echo:
-        structure["config"] = config_echo
-    with open(out_dir / "model.json", "w") as fh:
-        json.dump(structure, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(out_dir) -> EchoModel:
-    import json
-
-    out_dir = Path(out_dir)
-    with open(out_dir / "model.json") as fh:
-        structure = json.load(fh)
-    arrays = np.load(out_dir / "params.npz")
-
-    def rebuild(prefix, desc):
-        if desc is None:
-            return None
-        sizes = desc["sizes"]
-        weights = [arrays[f"{prefix}.w{i}"] for i in range(len(sizes) - 1)]
-        biases = [arrays[f"{prefix}.b{i}"] for i in range(len(sizes) - 1)]
-        return DenseNet(weights, biases, desc["activations"])
-
-    d1 = rebuild("d1", structure["d1"])
-    d2 = rebuild("d2", structure["d2"])
-    return EchoModel(
-        generator=rebuild("g", structure["generator"]),
-        mcl=rebuild("mcl", structure["mcl"]),
-        V=arrays["v"],
-        d1=d1,
-        d2=d2,
-        opt_g=AdamState(),
-        opt_d1=AdamState() if d1 is not None else None,
-        opt_d2=AdamState() if d2 is not None else None,
-        h=structure["h"],
-        n=structure["n"],
-    )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, TrainingError, ValidationError
+from .errors import ShapeError, SpecError, TrainingError, ValidationError
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
 
@@ -284,13 +284,27 @@ def max_rel_error(analytic: dict, numeric: dict, floor: float = 1e-3) -> float:
 # ---------------------------------------------------------------------------
 # Random streams (PCG64 behind numpy's Generator).
 
+def require_int(**values):
+    """SpecError unless every value is a Python or numpy integer (bool is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise SpecError(f"{name} must be an integer, got {value!r}")
+
+
+def _seed(seed) -> int:
+    seed = int(seed)
+    if seed < 0:
+        raise SpecError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def make_rng(seed) -> np.random.Generator:
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(_seed(seed))
 
 
 def spawn_rngs(seed, n: int) -> list:
     """n independent child streams of one seed, for per-component use."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(int(seed)).spawn(n)]
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(_seed(seed)).spawn(n)]
 
 
 def uniform(rng, rows, cols, low=0.0, high=1.0) -> np.ndarray:

@@ -5,15 +5,11 @@ missingness patterns are supported: scattered cells, a single contiguous
 block, and k separate blocks. Blocks are rectangles of at least 4x4 cells
 (the minimum extent that counts as block-wise rather than scattered).
 
-In memory, missing entries of a masked matrix hold a 0.0 sentinel so they
-can be fed to networks directly; in CSV form they are written as empty
-cells.
+Missing entries of a masked matrix hold a 0.0 sentinel so they can be fed
+to networks directly.
 """
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -37,8 +33,7 @@ class MaskSpec:
     def __post_init__(self):
         if self.pattern not in PATTERNS:
             raise SpecError(f"unknown pattern '{self.pattern}' (choose from {PATTERNS})")
-        if not 0.0 < self.rate < 1.0:
-            raise SpecError(f"rate must lie in (0, 1), got {self.rate}")
+        _check_rate(self.rate)
         if self.pattern == "multiblock" and self.k < 2:
             raise SpecError(f"multiblock needs k >= 2, got {self.k}")
 
@@ -75,12 +70,6 @@ def _check_binary(mask):
 def _check_rate(rate):
     if not 0.0 < rate < 1.0:
         raise SpecError(f"rate must lie in (0, 1), got {rate}")
-
-
-def achieved_rate(mask) -> float:
-    """Fraction of cells that are missing."""
-    mask = as_matrix(mask)
-    return float(1.0 - mask.mean())
 
 
 def gen_scattered(m, n, rate, seed) -> np.ndarray:
@@ -200,41 +189,3 @@ def apply_mask(x, mask) -> MaskedMatrix:
     values = np.where(mask > 0, x, SENTINEL)
     return MaskedMatrix(values, mask.copy())
 
-
-def is_block_region(mask, i_l, j_l, i_u, j_u) -> bool:
-    """True iff [i_l..i_u] x [j_l..j_u] is an all-missing rectangle spanning
-    at least 4 rows and 4 columns (inclusive coordinates)."""
-    mask = as_matrix(mask)
-    m, n = mask.shape
-    if not (0 <= i_l <= i_u < m and 0 <= j_l <= j_u < n):
-        raise ValidationError(
-            f"region ({i_l},{j_l})..({i_u},{j_u}) out of range for {m}x{n} mask"
-        )
-    if i_u < i_l + MIN_BLOCK - 1 or j_u < j_l + MIN_BLOCK - 1:
-        return False
-    return bool(np.all(mask[i_l : i_u + 1, j_l : j_u + 1] == 0.0))
-
-
-def save_mask(mask, path, sidecar: dict | None = None):
-    """Write a 0/1 integer CSV plus a JSON sidecar describing provenance."""
-    mask = as_matrix(mask)
-    _check_binary(mask)
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in mask.astype(int):
-            writer.writerow(row.tolist())
-    meta = {"rows": mask.shape[0], "cols": mask.shape[1], "achieved_rate": achieved_rate(mask)}
-    if sidecar:
-        meta.update(sidecar)
-    with open(path.with_suffix(".json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_mask(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
-    mask = as_matrix(rows)
-    _check_binary(mask)
-    return mask

@@ -19,15 +19,13 @@ adversarial imputer, and doubles as the plain matrix factorization
 baseline (impute with U @ V directly).
 """
 
-import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import SpecError, ValidationError
-from .kernel import as_matrix, make_rng
+from .kernel import as_matrix, make_rng, require_int
 from .masking import MaskedMatrix
 
 EPS_FLOOR = 1e-8  # positivity floor keeping KL and the updates defined
@@ -186,6 +184,7 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
     instead of its random initialization. Returns (FactorPair, MfTrace);
     deterministic for a given seed.
     """
+    require_int(h=h, max_iters=max_iters)
     x, mask = xm.values, xm.mask
     obs = mask > 0
     if not obs.any():
@@ -225,23 +224,3 @@ def mf_impute(factors: FactorPair) -> np.ndarray:
     """The plain factorization estimate U @ V (the MF baseline's output)."""
     return factors.U @ factors.V
 
-
-def save_factors(factors: FactorPair, out_dir, meta: dict | None = None):
-    """U and V as CSV plus a JSON metadata sidecar."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out_dir / "U.csv", factors.U, delimiter=",", fmt="%.17g")
-    np.savetxt(out_dir / "V.csv", factors.V, delimiter=",", fmt="%.17g")
-    info = {"h": factors.h, "rows": factors.U.shape[0], "cols": factors.V.shape[1]}
-    if meta:
-        info.update(meta)
-    with open(out_dir / "factors.json", "w") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_factors(out_dir) -> FactorPair:
-    out_dir = Path(out_dir)
-    U = np.loadtxt(out_dir / "U.csv", delimiter=",", ndmin=2)
-    V = np.loadtxt(out_dir / "V.csv", delimiter=",", ndmin=2)
-    return FactorPair(U, V)

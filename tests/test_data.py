@@ -43,11 +43,29 @@ class TestLoadCsv:
         x = rng.random((12, 7)) * 1e3
         mask = gen_uniblock(12, 7, 0.3, 1)
         p = tmp_path / "f.csv"
-        D.save_csv(x, p, mask=mask)
+        lines = (",".join(f"{v:.17g}" if k else "" for v, k in zip(row, keep))
+                 for row, keep in zip(x, mask))
+        p.write_text("\n".join(lines) + "\n")
         ds = D.load_csv(p)
         assert np.array_equal(ds.inherent_mask, mask)
         obs = mask > 0
-        assert np.max(np.abs(ds.values[obs] - x[obs])) < 1e-12
+        assert np.array_equal(ds.values[obs], x[obs])
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_text("s1,s2\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            D.load_csv(p, header=True)
+
+    def test_non_utf8_is_parse_error(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("1,2\n3,\u00e9\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="latin1.csv"):
+            D.load_csv(p)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            D.load_csv(tmp_path / "absent.csv")
 
     def test_header_and_index(self, tmp_path):
         p = tmp_path / "g.csv"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -82,14 +83,19 @@ class TestConfig:
         with pytest.raises(SpecError):
             G.BlockEchoConfig(h=4, g_layers=(9, 4)).resolved(10, 10)
 
-    def test_dict_roundtrip(self):
-        cfg = G.BlockEchoConfig(h=5, alpha=0.7, mcl_layers=(1, 4, 1))
-        back = G.BlockEchoConfig.from_dict(cfg.to_dict())
-        assert back == cfg
+    @pytest.mark.parametrize("field", ["h", "iters", "batch_rows", "pretrain_iters"])
+    def test_non_integer_size_rejected(self, field):
+        with pytest.raises(SpecError, match=f"{field} must be an integer"):
+            G.BlockEchoConfig(**{field: 2.5}).resolved(10, 10)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValidationError, match="alpah"):
-            G.BlockEchoConfig.from_dict({"alpah": 0.5})
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = G.BlockEchoConfig(h=np.int64(3), iters=np.int32(2), batch_rows=np.int64(4),
+                                pretrain_iters=np.int64(5)).resolved(10, 10)
+        assert (cfg.h, cfg.iters, cfg.batch_rows, cfg.pretrain_iters) == (3, 2, 4, 5)
+
+    def test_dict_roundtrip(self):
+        d = G.BlockEchoConfig(h=5, alpha=0.7, mcl_layers=(1, 4, 1)).to_dict()
+        assert json.loads(json.dumps(d)) == d
 
 
 class TestHint:
@@ -170,17 +176,17 @@ class TestAssembleAndMix:
     def test_all_observed(self):
         xm, x = toy_instance(missing=0.25)
         full = apply_mask(x, np.ones(x.shape))
-        assert np.array_equal(G.assemble(full, np.zeros(x.shape)), x)
+        assert np.array_equal(G._assemble(full.values, full.mask, np.zeros(x.shape)), x)
 
     def test_all_missing(self):
         xhat = np.full((2, 2), 0.7)
         mm = MaskedMatrix(np.zeros((2, 2)), np.zeros((2, 2)))
-        assert np.array_equal(G.assemble(mm, xhat), xhat)
+        assert np.array_equal(G._assemble(mm.values, mm.mask, xhat), xhat)
 
     def test_hand_case(self):
         mm = apply_mask([[1.0, 9.0], [9.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]])
         xhat = np.array([[9.0, 2.0], [3.0, 9.0]])
-        assert np.array_equal(G.assemble(mm, xhat), [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(G._assemble(mm.values, mm.mask, xhat), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_mix_all_ones(self):
         up = np.array([[1.0, 1.0], [3.0, 3.0]])
@@ -203,27 +209,27 @@ class TestDLosses:
     def test_d1_at_half(self):
         out = np.full((7, 1), 0.5)
         y = K.bernoulli(K.make_rng(0), 7, 1, 0.5)
-        assert abs(G.d1_loss(out, y) - 7 * np.log(0.5)) < 1e-12
+        assert abs(G._bce_sum(G._clip_unit(out), y) - 7 * np.log(0.5)) < 1e-12
 
     def test_d1_perfect_discrimination_near_zero(self):
         y = np.array([[1.0], [0.0], [1.0]])
         out = np.where(y > 0, 1.0 - 1e-9, 1e-9)
-        val = G.d1_loss(out, y)
+        val = G._bce_sum(G._clip_unit(out), y)
         assert abs(val - 3 * np.log(1 - G.LOG_EPS)) < 1e-9
 
     def test_d1_single_term_monotone(self):
         y = np.ones((5, 1))
-        vals = [G.d1_loss(np.full((5, 1), p), y) for p in (0.2, 0.5, 0.8)]
+        vals = [G._bce_sum(G._clip_unit(np.full((5, 1), p)), y) for p in (0.2, 0.5, 0.8)]
         assert vals[0] < vals[1] < vals[2]
         assert abs(vals[1] - 5 * np.log(0.5)) < 1e-12
 
     def test_d2_at_half(self):
         mask = gen_scattered(6, 5, 0.4, 2)
-        assert abs(G.d2_loss(np.full((6, 5), 0.5), mask) - 30 * np.log(0.5)) < 1e-12
+        assert abs(G._bce_sum(G._clip_unit(np.full((6, 5), 0.5)), mask) - 30 * np.log(0.5)) < 1e-12
 
     def test_d2_all_observed_pure_real_term(self):
         out = np.full((3, 4), 0.8)
-        val = G.d2_loss(out, np.ones((3, 4)))
+        val = G._bce_sum(G._clip_unit(out), np.ones((3, 4)))
         assert abs(val - 12 * np.log(0.8)) < 1e-12
 
 
@@ -231,7 +237,7 @@ class TestCombinedLoss:
     def test_alpha_one_is_pure_kl(self, calls):
         xm, _, rcfg, pre, model = toy_setup(alpha=1.0)
         gb = full_gbatch(xm, rcfg, pre)
-        total = G.combined_g_loss(model, gb, rcfg)
+        total = G._g_forward(model, gb, rcfg).total
         assert calls.count("kl") == 1
         assert forwards(calls, model.d1) == 0 and forwards(calls, model.d2) == 0
         xhat = G.mcl_forward(model, G.generator_forward(model, gb.x, gb.mask, gb.z))
@@ -241,16 +247,16 @@ class TestCombinedLoss:
     def test_alpha_zero_never_touches_kl(self, calls):
         xm, _, rcfg, pre, model = toy_setup(alpha=0.0)
         gb = full_gbatch(xm, rcfg, pre)
-        G.combined_g_loss(model, gb, rcfg)
+        G._g_forward(model, gb, rcfg)
         assert calls.count("kl") == 0
         assert forwards(calls, model.d1) == 1 and forwards(calls, model.d2) == 1
 
     def test_convex_combination(self):
         xm, _, rcfg, pre, model = toy_setup()
         gb = full_gbatch(xm, rcfg, pre)
-        adv = G.combined_g_loss(model, gb, dataclasses.replace(rcfg, alpha=0.0))
-        rec = G.combined_g_loss(model, gb, dataclasses.replace(rcfg, alpha=1.0))
-        mid = G.combined_g_loss(model, gb, dataclasses.replace(rcfg, alpha=0.5))
+        adv = G._g_forward(model, gb, dataclasses.replace(rcfg, alpha=0.0)).total
+        rec = G._g_forward(model, gb, dataclasses.replace(rcfg, alpha=1.0)).total
+        mid = G._g_forward(model, gb, dataclasses.replace(rcfg, alpha=0.5)).total
         assert abs(mid - (0.5 * adv + 0.5 * rec)) < 1e-9
 
 
@@ -261,7 +267,7 @@ class TestGradients:
         fw = G._g_forward(model, gb, rcfg)
         analytic = G._g_grads(model, gb, rcfg, fw)
         params = G._g_params(model)
-        numeric = K.fd_gradient(lambda: G.combined_g_loss(model, gb, rcfg), params)
+        numeric = K.fd_gradient(lambda: G._g_forward(model, gb, rcfg).total, params)
         return K.max_rel_error(analytic, numeric)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -427,16 +433,3 @@ class TestOptimalDiscriminator:
         target = p_real / (p_real + p_fake)
         assert np.max(np.abs(d - target)) < 0.05
 
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        xm, _ = toy_instance(m=8, n=5, seed=8, missing=0.4)
-        pre, _ = mf.pretrain(xm, 2, max_iters=20, seed=5)
-        cfg = G.BlockEchoConfig(h=2, iters=10, seed=5)
-        model, result = G.train(xm, pre, cfg)
-        G.save_model(model, tmp_path / "ckpt", config_echo=result.config)
-        back = G.load_model(tmp_path / "ckpt")
-        z = K.uniform(K.make_rng(9), xm.shape[0], 2, 0.0, G.NOISE_HIGH)
-        a = G.mcl_forward(model, G.generator_forward(model, xm.values, xm.mask, z))
-        b = G.mcl_forward(back, G.generator_forward(back, xm.values, xm.mask, z))
-        assert np.array_equal(a, b)

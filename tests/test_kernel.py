@@ -3,8 +3,9 @@ import copy
 import numpy as np
 import pytest
 
+from blockecho import data, gan, masking, mf
 from blockecho import kernel as K
-from blockecho.errors import ShapeError, TrainingError, ValidationError
+from blockecho.errors import ShapeError, SpecError, TrainingError, ValidationError
 
 
 def small_net(rng, sizes=(3, 4, 2), acts=("relu", "sigmoid")):
@@ -280,6 +281,30 @@ class TestRng:
     def test_spawned_streams_differ(self):
         r1, r2 = K.spawn_rngs(3, 2)
         assert not np.array_equal(r1.random(8), r2.random(8))
+
+
+def _train_with_seed(seed):
+    x = np.random.default_rng(0).uniform(0.1, 1.0, size=(8, 5))
+    xm = masking.apply_mask(x, masking.gen_scattered(8, 5, 0.3, 1))
+    pre, _ = mf.pretrain(xm, 2, max_iters=5, seed=0)
+    gan.train(xm, pre, gan.BlockEchoConfig(h=2, iters=1, seed=seed))
+
+
+def _pretrain_with_seed(seed):
+    xm = masking.apply_mask(np.ones((4, 4)), np.ones((4, 4)))
+    mf.pretrain(xm, 2, max_iters=5, seed=seed)
+
+
+@pytest.mark.parametrize("entry", [
+    _train_with_seed,
+    _pretrain_with_seed,
+    lambda seed: masking.generate_mask(masking.MaskSpec("uniblock", 0.3, seed), 8, 8),
+    lambda seed: data.gen_synthetic(data.SyntheticSpec("lowrank_poisson", 8, 5, seed=seed)),
+], ids=["gan.train", "mf.pretrain", "masking.generate_mask", "data.gen_synthetic"])
+def test_negative_seed_is_spec_error(entry):
+    entry(0)
+    with pytest.raises(SpecError, match="seed must be >= 0"):
+        entry(-1)
 
 
 class TestInit:

@@ -11,6 +11,12 @@ def block_bbox(mask):
     return zi.min(), zj.min(), zi.max(), zj.max()
 
 
+def assert_block(mask, i0, j0, i1, j1):
+    """[i0..i1] x [j0..j1] is all missing and spans at least 4 rows and 4 columns."""
+    assert i1 - i0 + 1 >= M.MIN_BLOCK and j1 - j0 + 1 >= M.MIN_BLOCK
+    assert np.all(mask[i0 : i1 + 1, j0 : j1 + 1] == 0.0)
+
+
 class TestScattered:
     def test_tiny_rate_rounds_to_all_observed(self):
         mask = M.gen_scattered(10, 10, 0.004, seed=0)
@@ -65,7 +71,7 @@ class TestUniblock:
         for seed in range(20):
             mask = M.gen_uniblock(30, 25, 0.4, seed)
             i0, j0, i1, j1 = block_bbox(mask)
-            assert M.is_block_region(mask, i0, j0, i1, j1)
+            assert_block(mask, i0, j0, i1, j1)
 
     def test_infeasible_matrix(self):
         with pytest.raises(SpecError):
@@ -95,7 +101,7 @@ class TestMultiblock:
     def test_k1_meets_uniblock_contract(self):
         mask = M.gen_multiblock(12, 12, 0.3, 1, seed=5)
         i0, j0, i1, j1 = block_bbox(mask)
-        assert M.is_block_region(mask, i0, j0, i1, j1)
+        assert_block(mask, i0, j0, i1, j1)
         assert (mask == 0).sum() == (i1 - i0 + 1) * (j1 - j0 + 1)
 
     def test_placement_failure(self):
@@ -140,27 +146,6 @@ class TestApplyMask:
         assert np.array_equal(mm.values[obs], x[obs])
 
 
-class TestIsBlockRegion:
-    def test_minimal_4x4(self):
-        mask = np.ones((10, 10))
-        mask[2:6, 3:7] = 0.0
-        assert M.is_block_region(mask, 2, 3, 5, 6)
-
-    def test_3x5_fails_height(self):
-        mask = np.zeros((10, 10))
-        assert not M.is_block_region(mask, 0, 0, 2, 4)
-
-    def test_one_observed_cell_breaks_it(self):
-        mask = np.ones((10, 10))
-        mask[2:6, 3:7] = 0.0
-        mask[4, 5] = 1.0
-        assert not M.is_block_region(mask, 2, 3, 5, 6)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            M.is_block_region(np.ones((5, 5)), 0, 0, 5, 4)
-
-
 class TestMaskSpecAndIO:
     def test_spec_validation(self):
         with pytest.raises(SpecError):
@@ -174,15 +159,6 @@ class TestMaskSpecAndIO:
         spec = M.MaskSpec("multiblock", 0.2, 3, k=2)
         mask = M.generate_mask(spec, 25, 25)
         assert abs((mask == 0).sum() - 125) <= 0.05 * 125
-
-    def test_roundtrip_with_sidecar(self, tmp_path):
-        mask = M.gen_uniblock(12, 10, 0.3, 4)
-        path = tmp_path / "mask.csv"
-        M.save_mask(mask, path, sidecar={"pattern": "uniblock", "rate": 0.3, "seed": 4})
-        back = M.load_mask(path)
-        assert np.array_equal(mask, back)
-        meta = (tmp_path / "mask.json").read_text()
-        assert '"achieved_rate"' in meta and '"pattern"' in meta
 
     def test_masked_matrix_invariants(self):
         with pytest.raises(ValidationError):

@@ -139,6 +139,17 @@ class TestPretrain:
         assert np.array_equal(f1.U, f2.U) and np.array_equal(f1.V, f2.V)
         assert t1.losses == t2.losses
 
+    @pytest.mark.parametrize("kw", [{"h": 2.5}, {"h": 2, "max_iters": 2.5}])
+    def test_non_integer_size_rejected(self, kw):
+        xm = apply_mask(*random_instance(5, 4, 0))
+        with pytest.raises(SpecError, match="must be an integer"):
+            mf.pretrain(xm, **kw)
+
+    def test_numpy_integer_sizes_accepted(self):
+        xm = apply_mask(*random_instance(5, 4, 0))
+        factors, trace = mf.pretrain(xm, np.int64(2), max_iters=np.int32(3))
+        assert factors.h == 2 and trace.iterations <= 3
+
     def test_empty_mask_rejected(self):
         xm = MaskedMatrix(np.zeros((3, 3)), np.zeros((3, 3)))
         with pytest.raises(SpecError):
@@ -262,10 +273,3 @@ class TestImputeAndIO:
         )
         assert np.allclose(mf.mf_impute(f), mf.EPS_FLOOR**2)
 
-    def test_factor_roundtrip(self, tmp_path):
-        f = mf.FactorPair(np.random.default_rng(0).uniform(0.1, 1, (4, 2)),
-                          np.random.default_rng(1).uniform(0.1, 1, (2, 5)))
-        mf.save_factors(f, tmp_path / "fac", meta={"seed": 0, "final_loss": 0.5})
-        back = mf.load_factors(tmp_path / "fac")
-        assert np.max(np.abs(back.U - f.U)) < 1e-15
-        assert np.max(np.abs(back.V - f.V)) < 1e-15
