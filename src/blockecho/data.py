@@ -170,6 +170,8 @@ def load_csv(path, header=False, index=False) -> Dataset:
         elif len(row) != width:
             raise ParseError(f"ragged row at line {line_no}: expected {width} cells, got {len(row)}")
         data.append([_parse_cell(tok, line_no, j + 1) for j, tok in enumerate(row)])
+    if not width:
+        raise ParseError(f"{path}: rows hold no data cells")
     values = as_matrix(data)
     m, n = values.shape
     if not row_labels:

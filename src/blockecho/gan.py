@@ -110,6 +110,12 @@ class BlockEchoConfig:
             raise SpecError(f"hint_rate must lie in [0, 1], got {self.hint_rate}")
         if self.iters < 0:
             raise SpecError(f"iters must be >= 0, got {self.iters}")
+        # written so that NaN fails them too
+        for name in ("lr_g", "lr_d"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise SpecError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0.0 <= self.pretrain_tol < np.inf:
+            raise SpecError(f"pretrain_tol must be finite and >= 0, got {self.pretrain_tol}")
         if not 0.0 <= self.ema_decay < 1.0:
             raise SpecError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
         if h < 1:
@@ -182,8 +188,7 @@ def build_hint(mask, hint_rate, rng) -> np.ndarray:
     mask = as_matrix(mask)
     if not 0.0 <= hint_rate <= 1.0:
         raise SpecError(f"hint_rate must lie in [0, 1], got {hint_rate}")
-    b = bernoulli(rng, mask.shape[0], mask.shape[1], hint_rate)
-    return b * mask + 0.5 * (1.0 - b)
+    return np.where(rng.random(mask.shape) < hint_rate, mask, 0.5)
 
 
 def mix_rows(u_p, u, y) -> np.ndarray:
@@ -215,11 +220,6 @@ def _assemble(values, mask, xhat):
 
 def generator_forward(model: EchoModel, x0, mask, z) -> np.ndarray:
     """Row embeddings U for a batch of (zero-imputed values, mask, noise) rows."""
-    u, _ = _gen_forward(model, x0, mask, z)
-    return u
-
-
-def _gen_forward(model, x0, mask, z):
     x0 = as_matrix(x0)
     mask = as_matrix(mask)
     z = as_matrix(z)
@@ -227,19 +227,21 @@ def _gen_forward(model, x0, mask, z):
         raise ShapeError(f"values {x0.shape} != mask {mask.shape}")
     if z.shape != (x0.shape[0], model.h):
         raise ShapeError(f"noise must be {(x0.shape[0], model.h)}, got {z.shape}")
-    return net_forward(model.generator, np.hstack([x0, mask, z]))
+    u, _ = net_forward(model.generator, np.hstack([x0, mask, z]))
+    return u
 
 
 def mcl_forward(model: EchoModel, u) -> np.ndarray:
     """Estimate matrix: pointwise_net(u @ V), or u @ V when the head is identity."""
-    xhat, _, _ = _mcl_forward(model, u)
-    return xhat
-
-
-def _mcl_forward(model, u):
     u = as_matrix(u)
     if u.shape[1] != model.h:
         raise ShapeError(f"embeddings have width {u.shape[1]}, expected {model.h}")
+    xhat, _, _ = _head(model, u)
+    return xhat
+
+
+def _head(model, u):
+    """(estimate, product, head cache) of generator embeddings u, unchecked."""
     p = u @ model.V
     if model.mcl is None:
         return p, p, None
@@ -264,8 +266,8 @@ class _GForward:
 
 def _g_forward(model, gb: GBatch, cfg) -> _GForward:
     fw = _GForward()
-    fw.u, fw.g_cache = _gen_forward(model, gb.x, gb.mask, gb.z)
-    fw.xhat, fw.p, fw.mcl_cache = _mcl_forward(model, fw.u)
+    fw.u, fw.g_cache = net_forward(model.generator, np.hstack([gb.x, gb.mask, gb.z]))
+    fw.xhat, fw.p, fw.mcl_cache = _head(model, fw.u)
     fw.xbar = _assemble(gb.x, gb.mask, fw.xhat)
     fw.adv1 = fw.adv2 = fw.recon = 0.0
     fw.d1_out = fw.d2_out = fw.d1_cache = fw.d2_cache = fw.ud = None
@@ -287,7 +289,7 @@ def _g_forward(model, gb: GBatch, cfg) -> _GForward:
         if cfg.use_d1:
             if gb.y is None or gb.u_p is None:
                 raise ValidationError("row-discriminator path needs y and pre-trained rows")
-            fw.ud = mix_rows(gb.u_p, fw.u, gb.y)
+            fw.ud = np.where(gb.y > 0, gb.u_p, fw.u)
             fw.d1_out, fw.d1_cache = net_forward(model.d1, fw.ud)
             p = _clip_unit(fw.d1_out)
             fw.adv1 = -float(np.sum((gb.y == 0) * np.log(p)))
@@ -485,16 +487,18 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
         hb = yb = None
         d1_val = d2_val = float("nan")
 
+        # the batch is sliced from checked inputs and y is a 0/1 draw, so the
+        # loop calls the kernel directly instead of the validating wrappers
         if cfg.alpha < 1.0:
-            u = generator_forward(model, xb, mb, zb)
-            xhat = mcl_forward(model, u)
+            u, _ = net_forward(model.generator, np.hstack([xb, mb, zb]))
+            xhat, _, _ = _head(model, u)
             if cfg.use_d2:
                 hb = build_hint(mb, cfg.hint_rate, hint_rng)
                 xbar = np.hstack([_assemble(xb, mb, xhat), hb])
                 d2_val = _d_step(model.d2, model.opt_d2, "d2", xbar, mb)
             if cfg.use_d1:
                 yb = bernoulli(y_rng, cfg.batch_rows, 1, 0.5)
-                d1_val = _d_step(model.d1, model.opt_d1, "d1", mix_rows(upb, u, yb), yb)
+                d1_val = _d_step(model.d1, model.opt_d1, "d1", np.where(yb > 0, upb, u), yb)
 
         g_total, recon = _g_step(model, GBatch(xb, mb, zb, hb, yb, upb), cfg)
         if ema is not None:

@@ -1,9 +1,16 @@
 """Minimal dense numeric kernel.
 
-Matrices are plain float64 C-order numpy arrays. On top of them this module
-provides small fully connected networks with exact reverse-mode gradients,
-an Adam optimizer, a finite-difference gradient oracle that is independent
-of the analytic backward pass, and seedable PCG64 random streams.
+Matrices are float64 numpy arrays, batch-major at the API: one row per
+sample. On top of them this module provides small fully connected networks
+with exact reverse-mode gradients, an Adam optimizer, a finite-difference
+gradient oracle that is independent of the analytic backward pass, and
+seedable PCG64 random streams.
+
+Inside a network pass the activations are held feature-major, as
+(features, batch), so bias adds and activations sweep the long batch axis
+and a layer with fan-in or fan-out 1 is a broadcast product instead of a
+rank-1 matrix product. Outputs and input gradients come back C-contiguous
+as (batch, features).
 
 Everything here is deterministic given explicit inputs and RNG state.
 """
@@ -110,28 +117,38 @@ def init_dense(sizes, activations, rng) -> DenseNet:
 
 @dataclass
 class ForwardCache:
-    """Activations recorded by net_forward, sufficient for exact backprop."""
+    """Activations recorded by net_forward, sufficient for exact backprop.
+
+    inputs and pre are feature-major, (features, batch) per layer; out is the
+    batch-major output that net_forward returned.
+    """
 
     net_id: int
-    inputs: list   # layer inputs, inputs[0] is the batch
+    inputs: list   # layer inputs, inputs[0] is the transposed batch
     pre: list      # pre-activation z per layer
     out: np.ndarray
 
 
 def net_forward(net: DenseNet, x):
-    """Row-wise forward pass; returns (output, cache)."""
+    """Forward pass of a (batch, in_size) batch; returns (output, cache).
+
+    Each row is mapped on its own; the output is C-contiguous (batch, out_size).
+    """
     x = as_matrix(x)
     if x.shape[1] != net.in_size:
         raise ShapeError(f"input has {x.shape[1]} columns, network expects {net.in_size}")
-    inputs, pre = [x], []
-    a = x
+    a = x.T
+    inputs, pre = [a], []
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = a @ w
-        z += b
+        # with fan-in 1 the product is a rank-1 outer product: the broadcast
+        # gives the same bits without a K=1 matrix product
+        z = w.T * a if w.shape[0] == 1 else w.T @ a
+        z += b.T
         a = _apply_activation(act, z)
         pre.append(z)
         inputs.append(a)
-    return a, ForwardCache(id(net), inputs, pre, a)
+    out = np.ascontiguousarray(a.T)
+    return out, ForwardCache(id(net), inputs, pre, out)
 
 
 def net_backward(net: DenseNet, cache: ForwardCache, out_grad, *, params=True, inputs=True):
@@ -139,6 +156,7 @@ def net_backward(net: DenseNet, cache: ForwardCache, out_grad, *, params=True, i
 
     Returns (per-layer [(dW, db), ...], d(loss)/d(input)); a part not asked
     for (params=False or inputs=False) is not computed and comes back None.
+    The input gradient is C-contiguous (batch, in_size).
     """
     if cache.net_id != id(net) or len(cache.pre) != len(net.weights):
         raise ValidationError("forward cache does not belong to this network")
@@ -146,13 +164,15 @@ def net_backward(net: DenseNet, cache: ForwardCache, out_grad, *, params=True, i
     if out_grad.shape != cache.out.shape:
         raise ShapeError(f"output grad {out_grad.shape} != output {cache.out.shape}")
     grads = [None] * len(net.weights) if params else None
-    d = out_grad
+    d = out_grad.T
     for i in range(len(net.weights) - 1, -1, -1):
+        w = net.weights[i]
         dz = d * _activation_grad(net.activations[i], cache.pre[i], cache.inputs[i + 1])
         if params:
-            grads[i] = (cache.inputs[i].T @ dz, dz.sum(axis=0, keepdims=True))
-        d = dz @ net.weights[i].T if i or inputs else None
-    return grads, d
+            grads[i] = (cache.inputs[i] @ dz.T, dz.sum(axis=1).reshape(1, -1))
+        if i or inputs:
+            d = w * dz if w.shape[1] == 1 else w @ dz
+    return grads, np.ascontiguousarray(d.T) if inputs else None
 
 
 def net_params(net: DenseNet, prefix: str) -> dict:
@@ -292,6 +312,7 @@ def require_int(**values):
 
 
 def _seed(seed) -> int:
+    require_int(seed=seed)
     seed = int(seed)
     if seed < 0:
         raise SpecError(f"seed must be >= 0, got {seed}")

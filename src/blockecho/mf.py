@@ -185,6 +185,10 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
     deterministic for a given seed.
     """
     require_int(h=h, max_iters=max_iters)
+    if max_iters < 0:
+        raise SpecError(f"max_iters must be >= 0, got {max_iters}")
+    if not 0.0 <= tol < np.inf:  # written so that NaN fails it too
+        raise SpecError(f"tol must be finite and >= 0, got {tol}")
     x, mask = xm.values, xm.mask
     obs = mask > 0
     if not obs.any():

@@ -57,6 +57,13 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="no data rows"):
             D.load_csv(p, header=True)
 
+    @pytest.mark.parametrize("text, header", [("r0\nr1\n", False), ("id\nr0\nr1\n", True)])
+    def test_rows_of_index_cells_only_rejected(self, tmp_path, text, header):
+        p = tmp_path / "labels.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="labels.csv"):
+            D.load_csv(p, header=header, index=True)
+
     def test_non_utf8_is_parse_error(self, tmp_path):
         p = tmp_path / "latin1.csv"
         p.write_bytes("1,2\n3,\u00e9\n".encode("latin-1"))

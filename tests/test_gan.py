@@ -93,6 +93,15 @@ class TestConfig:
                                 pretrain_iters=np.int64(5)).resolved(10, 10)
         assert (cfg.h, cfg.iters, cfg.batch_rows, cfg.pretrain_iters) == (3, 2, 4, 5)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("lr_g", -1.0), ("lr_g", 0.0), ("lr_g", np.nan), ("lr_g", np.inf),
+        ("lr_d", -1.0), ("lr_d", 0.0), ("lr_d", np.nan), ("lr_d", np.inf),
+        ("pretrain_tol", -1e-6), ("pretrain_tol", np.nan), ("pretrain_tol", np.inf),
+    ])
+    def test_out_of_range_rate_or_tolerance_rejected(self, field, bad):
+        with pytest.raises(SpecError, match=field):
+            G.BlockEchoConfig(**{field: bad}).resolved(10, 10)
+
     def test_dict_roundtrip(self):
         d = G.BlockEchoConfig(h=5, alpha=0.7, mcl_layers=(1, 4, 1)).to_dict()
         assert json.loads(json.dumps(d)) == d
@@ -113,6 +122,16 @@ class TestHint:
         frac_half = float((hint == 0.5).mean())
         assert abs(frac_half - 0.1) < 0.02
         assert set(np.unique(hint)) <= {0.0, 0.5, 1.0}
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.9, 1.0])
+    def test_same_bits_and_draws_as_the_bernoulli_form(self, rate):
+        mask = gen_scattered(40, 30, 0.4, 5)
+        rng_new, rng_old = K.make_rng(8), K.make_rng(8)
+        hint = G.build_hint(mask, rate, rng_new)
+        b = K.bernoulli(rng_old, 40, 30, rate)
+        old = b * mask + 0.5 * (1.0 - b)
+        assert np.array_equal(hint.view(np.uint64), old.view(np.uint64))
+        assert rng_new.random() == rng_old.random()
 
 
 class TestGeneratorAndMcl:
@@ -165,6 +184,20 @@ class TestGeneratorAndMcl:
         assert np.max(np.abs(out - p)) < 0.025
         wide, _ = K.net_forward(model.mcl, np.linspace(-1.0, 3.0, 401).reshape(-1, 1))
         assert np.all((wide >= 0.0) & (wide <= 1.0))
+
+    @pytest.mark.parametrize("mcl_layers", [(1, 8, 1), None])
+    def test_unchecked_path_matches_public_forwards(self, mcl_layers):
+        # the training step skips the validating wrappers; it must compute
+        # the same bits as they do
+        xm, _, rcfg, pre, model = toy_setup(m=9, n=5, mcl_layers=mcl_layers)
+        gb = full_gbatch(xm, rcfg, pre)
+        fw = G._g_forward(model, gb, rcfg)
+        u = G.generator_forward(model, gb.x, gb.mask, gb.z)
+        assert np.array_equal(fw.u.view(np.uint64), u.view(np.uint64))
+        xhat = G.mcl_forward(model, u)
+        assert np.array_equal(fw.xhat.view(np.uint64), xhat.view(np.uint64))
+        ud = G.mix_rows(gb.u_p, u, gb.y)
+        assert np.array_equal(fw.ud.view(np.uint64), ud.view(np.uint64))
 
     def test_noise_shape_checked(self):
         xm, _, rcfg, pre, model = toy_setup()
@@ -363,6 +396,27 @@ class TestTrain:
         _, averaged = G.train(xm, pre, cfg)
         _, plain = G.train(xm, pre, dataclasses.replace(cfg, ema_decay=0.0))
         assert np.allclose(averaged.imputed, plain.imputed, rtol=1e-12, atol=1e-12)
+
+    def test_inputs_validated_once_not_per_iteration(self, monkeypatch):
+        # the loop slices checked inputs and calls the kernel directly; the
+        # per-iteration count was 32 while it went through the wrappers
+        counted = [0]
+        for mod in (G, K, mf):
+            original = mod.as_matrix
+
+            def counting(data, original=original):
+                counted[0] += 1
+                return original(data)
+
+            monkeypatch.setattr(mod, "as_matrix", counting)
+        xm, _ = toy_instance(m=10, n=6, seed=8, missing=0.5)
+        pre, _ = mf.pretrain(xm, 2, max_iters=10, seed=8)
+        per_run = []
+        for iters in (0, 3):
+            counted[0] = 0
+            G.train(xm, pre, G.BlockEchoConfig(h=2, iters=iters, batch_rows=4, seed=8))
+            per_run.append(counted[0])
+        assert (per_run[1] - per_run[0]) / 3 <= 18
 
     def test_unnormalized_data_rejected(self):
         x = np.full((6, 4), 5.0)

@@ -120,6 +120,80 @@ class TestSigmoidBitExact:
         assert np.isnan(out[0, 0]) and np.isnan(out[0, 2]) and out[0, 1] == 0.5
 
 
+def batch_major_forward(net, x):
+    """Reference: the row-wise pass, one (batch, features) array per layer."""
+    inputs, pre, a = [x], [], x
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        z = a @ w
+        z += b
+        a = K._apply_activation(act, z)
+        pre.append(z)
+        inputs.append(a)
+    return a, inputs, pre
+
+
+def batch_major_backward(net, inputs, pre, out_grad):
+    grads, d = [None] * len(net.weights), out_grad
+    for i in range(len(net.weights) - 1, -1, -1):
+        dz = d * K._activation_grad(net.activations[i], pre[i], inputs[i + 1])
+        grads[i] = (inputs[i].T @ dz, dz.sum(axis=0, keepdims=True))
+        d = dz @ net.weights[i].T
+    return grads, d
+
+
+class TestFeatureMajor:
+    """The feature-major kernel against the batch-major formulas it replaced;
+    sums run in another order, so results agree to rounding, not bits."""
+
+    @pytest.mark.parametrize("sizes, acts, batch", [
+        ((1, 8, 1), ("relu", "sigmoid"), 8192),
+        ((1, 4, 8, 1), ("relu", "relu", "sigmoid"), 300),
+        ((6, 6, 1), ("sigmoid", "sigmoid"), 128),
+        ((16, 16, 1), ("sigmoid", "sigmoid"), 128),
+        ((41, 20, 5), ("relu", "sigmoid"), 128),
+        ((1, 1), ("identity",), 7),
+        ((3, 1, 4), ("identity", "relu"), 5),
+        ((5, 3), ("sigmoid",), 1),
+    ])
+    def test_matches_batch_major_reference(self, sizes, acts, batch):
+        rng = K.make_rng(sum(sizes) + batch)
+        net = K.init_dense(list(sizes), list(acts), rng)
+        for b in net.biases:
+            b += rng.standard_normal(b.shape) * 0.1
+        x = rng.standard_normal((batch, sizes[0]))
+        d_out = rng.standard_normal((batch, sizes[-1]))
+
+        out, cache = K.net_forward(net, x)
+        grads, d_in = K.net_backward(net, cache, d_out)
+        ref_out, inputs, pre = batch_major_forward(net, x)
+        ref_grads, ref_d_in = batch_major_backward(net, inputs, pre, d_out)
+
+        np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(d_in, ref_d_in, rtol=1e-12, atol=0)
+        for (dw, db), (ref_dw, ref_db) in zip(grads, ref_grads):
+            assert dw.shape == ref_dw.shape and db.shape == ref_db.shape
+            np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(db, ref_db, rtol=1e-12, atol=0)
+        assert out.shape == (batch, sizes[-1]) and out.flags.c_contiguous
+        assert d_in.shape == x.shape and d_in.flags.c_contiguous
+
+    @pytest.mark.parametrize("sizes", [(1, 8), (8, 1), (1, 1)])
+    def test_broadcast_layers_match_rank1_product_bits(self, sizes):
+        # a fan-in-1 or fan-out-1 product has no sum to reorder
+        rng = K.make_rng(sizes[0] * 10 + sizes[1])
+        net = K.init_dense(list(sizes), ["identity"], rng)
+        x = rng.standard_normal((200, sizes[0]))
+        d_out = rng.standard_normal((200, sizes[1]))
+        out, cache = K.net_forward(net, x)
+        _, d_in = K.net_backward(net, cache, d_out)
+        ref_out, inputs, pre = batch_major_forward(net, x)
+        _, ref_d_in = batch_major_backward(net, inputs, pre, d_out)
+        if sizes[0] == 1:
+            assert same_bits(out, ref_out)
+        if sizes[1] == 1:
+            assert same_bits(d_in, ref_d_in)
+
+
 class TestBackwardParts:
     @pytest.mark.parametrize("seed", range(5))
     def test_skipped_parts_are_none_and_the_rest_bit_equal(self, seed):
@@ -295,16 +369,33 @@ def _pretrain_with_seed(seed):
     mf.pretrain(xm, 2, max_iters=5, seed=seed)
 
 
-@pytest.mark.parametrize("entry", [
+SEEDED_ENTRIES = pytest.mark.parametrize("entry", [
     _train_with_seed,
     _pretrain_with_seed,
     lambda seed: masking.generate_mask(masking.MaskSpec("uniblock", 0.3, seed), 8, 8),
     lambda seed: data.gen_synthetic(data.SyntheticSpec("lowrank_poisson", 8, 5, seed=seed)),
 ], ids=["gan.train", "mf.pretrain", "masking.generate_mask", "data.gen_synthetic"])
+
+
+@SEEDED_ENTRIES
 def test_negative_seed_is_spec_error(entry):
     entry(0)
     with pytest.raises(SpecError, match="seed must be >= 0"):
         entry(-1)
+
+
+@SEEDED_ENTRIES
+def test_non_integer_seed_is_spec_error(entry):
+    entry(np.uint32(1))
+    for bad in (1.7, 1.0, True):
+        with pytest.raises(SpecError, match="seed must be an integer"):
+            entry(bad)
+
+
+def test_numpy_integer_seed_gives_the_int_stream():
+    assert np.array_equal(K.make_rng(np.int64(7)).random(4), K.make_rng(7).random(4))
+    for a, b in zip(K.spawn_rngs(np.uint64(7), 2), K.spawn_rngs(7, 2)):
+        assert np.array_equal(a.random(4), b.random(4))
 
 
 class TestInit:

@@ -145,6 +145,15 @@ class TestPretrain:
         with pytest.raises(SpecError, match="must be an integer"):
             mf.pretrain(xm, **kw)
 
+    @pytest.mark.parametrize("kw, field", [
+        ({"max_iters": -3}, "max_iters"),
+        ({"tol": -1e-6}, "tol"), ({"tol": np.nan}, "tol"), ({"tol": np.inf}, "tol"),
+    ])
+    def test_out_of_range_iterations_or_tolerance_rejected(self, kw, field):
+        xm = apply_mask(*random_instance(5, 4, 0))
+        with pytest.raises(SpecError, match=field):
+            mf.pretrain(xm, 2, **kw)
+
     def test_numpy_integer_sizes_accepted(self):
         xm = apply_mask(*random_instance(5, 4, 0))
         factors, trace = mf.pretrain(xm, np.int64(2), max_iters=np.int32(3))
