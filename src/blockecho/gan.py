@@ -12,12 +12,14 @@ The model has four trainable parts:
   It starts close to the identity on [0, 1] (see init_head), so the first
   estimates are the warm-started product itself rather than a constant;
   its sigmoid output keeps every estimate in [0, 1] even where the
-  factorization blows up;
-* two discriminators: a row-level one that tells generator embeddings from
-  pre-trained factorization embeddings (mixed row-wise by a random 0/1
-  vector), and an element-level one that, given the assembled matrix and a
-  hint copy of the mask with a fraction of entries blanked to 1/2, scores
-  each cell as observed or imputed.
+  factorization blows up. Every model has it: the bare product U @ V is
+  never the estimate;
+* two discriminators: a row-level one (D1) that tells generator embeddings
+  from pre-trained factorization embeddings (mixed row-wise by a random 0/1
+  vector), and an element-level one (D2) that, given the assembled matrix
+  and a hint copy of the mask with a fraction 1 - HINT_RATE of entries
+  blanked to 1/2, scores each cell as observed or imputed. Both always
+  take part unless alpha = 1.
 
 Training alternates discriminator ascent on their log-likelihood
 objectives with generator descent on
@@ -25,7 +27,9 @@ objectives with generator descent on
     (1 - alpha) * adversarial terms  +  alpha * masked reconstruction,
 
 where the reconstruction term is the generalized KL divergence of observed
-cells through the completion head.
+cells through the completion head. All three optimizers are Adam at the
+one learning rate LR, and the final imputation runs from a bias-corrected
+EMA_DECAY average of the generator-side weights.
 The generator's adversarial part uses the non-saturating surrogate
 (maximize log D on fake rows/cells), which shares fixed points with the
 minimax form but keeps gradients alive early in training.
@@ -63,6 +67,9 @@ LOG_EPS = 1e-7     # clamp inside every log term
 NOISE_HIGH = 0.01  # generator noise is uniform in [0, NOISE_HIGH]
 
 HEAD_CLIP = 0.01   # the completion head starts as logit(clip(p, HEAD_CLIP, 1 - HEAD_CLIP))
+HINT_RATE = 0.9    # share of D2's hint cells that show the true mask entry
+LR = 1e-3          # Adam learning rate of G (with head and V), D1 and D2
+EMA_DECAY = 0.998  # decay of the generator-side weight average
 
 
 @dataclass(frozen=True)
@@ -72,30 +79,27 @@ class BlockEchoConfig:
     ``None`` fields are resolved against the data size: h defaults to
     min(16, ceil(min(m, n)/4)), the generator to [2n+h, n, h], the row
     discriminator to [h, h, 1], the element discriminator to [2n, n, n]
-    and batch_rows to min(m, 128). ``mcl_layers=None`` (or an empty list)
-    switches the completion head to the identity, reducing the estimate to
-    the plain product U @ V. Otherwise the head (relu hidden layers, sigmoid
-    output) is not drawn at random: at any depth and width it starts as a
-    sigmoid-bounded piecewise-linear interpolation of the identity on
-    [0, 1] (see init_head), so that training starts from the pre-trained
-    product instead of a near-constant map.
+    and batch_rows to min(m, 128). Every layer tuple lists at least two
+    sizes, each an integer >= 1. The completion head maps 1 -> 1 through
+    relu hidden layers to a sigmoid output and is not drawn at random: at
+    any depth and width it starts as a sigmoid-bounded piecewise-linear
+    interpolation of the identity on [0, 1] (see init_head), so that
+    training starts from the pre-trained product instead of a near-constant
+    map. The hint rate, the learning rate and the weight average's decay
+    are the module constants HINT_RATE, LR and EMA_DECAY, fixed at the
+    values every run used: a setting no run changes only keeps an untested
+    code path alive.
     """
 
     h: int | None = None
     alpha: float = 0.5
-    hint_rate: float = 0.9
     g_layers: tuple | None = None
     d1_layers: tuple | None = None
     d2_layers: tuple | None = None
-    mcl_layers: tuple | None = (1, 8, 1)
-    lr_g: float = 1e-3
-    lr_d: float = 1e-3
+    mcl_layers: tuple = (1, 8, 1)
     iters: int = 5000
     batch_rows: int | None = None
     seed: int = 0
-    use_d1: bool = True
-    use_d2: bool = True
-    ema_decay: float = 0.998
     pretrain_iters: int = 2000
     pretrain_tol: float = 1e-6
 
@@ -106,37 +110,21 @@ class BlockEchoConfig:
         require_int(h=h, iters=self.iters, batch_rows=batch, pretrain_iters=self.pretrain_iters)
         if not 0.0 <= self.alpha <= 1.0:
             raise SpecError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.hint_rate <= 1.0:
-            raise SpecError(f"hint_rate must lie in [0, 1], got {self.hint_rate}")
         if self.iters < 0:
             raise SpecError(f"iters must be >= 0, got {self.iters}")
-        # written so that NaN fails them too
-        for name in ("lr_g", "lr_d"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise SpecError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        # written so that NaN fails it too
         if not 0.0 <= self.pretrain_tol < np.inf:
             raise SpecError(f"pretrain_tol must be finite and >= 0, got {self.pretrain_tol}")
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise SpecError(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
         if h < 1:
             raise SpecError(f"rank h must be at least 1, got {h}")
         if not 1 <= batch <= m:
             raise SpecError(f"batch_rows {batch} outside 1..{m}")
-        g = tuple(self.g_layers) if self.g_layers else (2 * n + h, n, h)
-        d1 = tuple(self.d1_layers) if self.d1_layers else (h, h, 1)
-        d2 = tuple(self.d2_layers) if self.d2_layers else (2 * n, n, n)
-        mcl = tuple(self.mcl_layers) if self.mcl_layers else None
-        if g[0] != 2 * n + h or g[-1] != h:
-            raise SpecError(f"generator layers {g} must map 2n+h={2 * n + h} -> h={h}")
-        if d1[0] != h or d1[-1] != 1:
-            raise SpecError(f"row-discriminator layers {d1} must map h={h} -> 1")
-        if d2[0] != 2 * n or d2[-1] != n:
-            raise SpecError(f"element-discriminator layers {d2} must map 2n={2 * n} -> n={n}")
-        if mcl is not None and (mcl[0] != 1 or mcl[-1] != 1):
-            raise SpecError(f"completion-head layers {mcl} must map 1 -> 1")
         return replace(
-            self, h=h, batch_rows=batch, g_layers=g, d1_layers=d1, d2_layers=d2,
-            mcl_layers=mcl,
+            self, h=h, batch_rows=batch,
+            g_layers=_layer_sizes("g_layers", self.g_layers, 2 * n + h, n, h),
+            d1_layers=_layer_sizes("d1_layers", self.d1_layers, h, h, 1),
+            d2_layers=_layer_sizes("d2_layers", self.d2_layers, 2 * n, n, n),
+            mcl_layers=_layer_sizes("mcl_layers", self.mcl_layers, 1, None, 1),
         )
 
     def to_dict(self) -> dict:
@@ -147,17 +135,30 @@ class BlockEchoConfig:
         return out
 
 
+def _layer_sizes(name, sizes, first, hidden, last):
+    """The field's layer sizes as a tuple; None means (first, hidden, last),
+    or no default when hidden is None. SpecError naming the field unless
+    there are two or more integer sizes >= 1 that map first -> last."""
+    if sizes is None and hidden is not None:
+        sizes = (first, hidden, last)
+    if not isinstance(sizes, (tuple, list)) or len(sizes) < 2:
+        raise SpecError(f"{name} must list at least two layer sizes, got {sizes!r}")
+    require_int(**{f"{name}[{i}]": s for i, s in enumerate(sizes)})
+    if min(sizes) < 1 or (sizes[0], sizes[-1]) != (first, last):
+        raise SpecError(f"{name} {tuple(sizes)} must map {first} -> {last} through sizes >= 1")
+    return tuple(sizes)
+
+
 @dataclass
 class EchoModel:
     generator: DenseNet
-    mcl: DenseNet | None
+    mcl: DenseNet
     V: np.ndarray
-    d1: DenseNet | None
-    d2: DenseNet | None
+    d1: DenseNet
+    d2: DenseNet
     opt_g: AdamState
-    opt_d1: AdamState | None
-    opt_d2: AdamState | None
-    h: int
+    opt_d1: AdamState
+    opt_d2: AdamState
     n: int
 
 
@@ -172,15 +173,15 @@ class ImputationResult:
 @dataclass
 class GBatch:
     """One minibatch view: rows of the zero-imputed data and mask, fresh
-    noise, and (when the corresponding paths are active) hint rows, the
-    real/fake row indicator and the matching pre-trained embeddings."""
+    noise, the matching pre-trained embeddings and, unless alpha = 1 leaves
+    no adversarial term, D2's hint rows and D1's real/fake row indicator."""
 
     x: np.ndarray
     mask: np.ndarray
     z: np.ndarray
-    hint: np.ndarray | None = None
-    y: np.ndarray | None = None
-    u_p: np.ndarray | None = None
+    hint: np.ndarray | None
+    y: np.ndarray | None
+    u_p: np.ndarray
 
 
 def build_hint(mask, hint_rate, rng) -> np.ndarray:
@@ -218,35 +219,11 @@ def _assemble(values, mask, xhat):
     return np.where(mask > 0, values, xhat)
 
 
-def generator_forward(model: EchoModel, x0, mask, z) -> np.ndarray:
-    """Row embeddings U for a batch of (zero-imputed values, mask, noise) rows."""
-    x0 = as_matrix(x0)
-    mask = as_matrix(mask)
-    z = as_matrix(z)
-    if x0.shape != mask.shape:
-        raise ShapeError(f"values {x0.shape} != mask {mask.shape}")
-    if z.shape != (x0.shape[0], model.h):
-        raise ShapeError(f"noise must be {(x0.shape[0], model.h)}, got {z.shape}")
-    u, _ = net_forward(model.generator, np.hstack([x0, mask, z]))
-    return u
-
-
-def mcl_forward(model: EchoModel, u) -> np.ndarray:
-    """Estimate matrix: pointwise_net(u @ V), or u @ V when the head is identity."""
-    u = as_matrix(u)
-    if u.shape[1] != model.h:
-        raise ShapeError(f"embeddings have width {u.shape[1]}, expected {model.h}")
-    xhat, _, _ = _head(model, u)
-    return xhat
-
-
 def _head(model, u):
-    """(estimate, product, head cache) of generator embeddings u, unchecked."""
+    """(estimate, product, head cache) of generator embeddings u, unchecked:
+    the estimate is the completion head applied entrywise to u @ V."""
     p = u @ model.V
-    if model.mcl is None:
-        return p, p, None
-    flat = p.reshape(-1, 1)
-    out, cache = net_forward(model.mcl, flat)
+    out, cache = net_forward(model.mcl, p.reshape(-1, 1))
     return out.reshape(p.shape), p, cache
 
 
@@ -280,19 +257,13 @@ def _g_forward(model, gb: GBatch, cfg) -> _GForward:
     # discriminator is confidently right, which stops it from dragging
     # unobserved cells along the reconstruction loss's null space forever.
     if cfg.alpha < 1.0:
-        if cfg.use_d2:
-            if gb.hint is None:
-                raise ValidationError("element-discriminator path needs a hint matrix")
-            fw.d2_out, fw.d2_cache = net_forward(model.d2, np.hstack([fw.xbar, gb.hint]))
-            p = _clip_unit(fw.d2_out)
-            fw.adv2 = float(np.sum((gb.mask == 0) * np.log(1.0 - p)))
-        if cfg.use_d1:
-            if gb.y is None or gb.u_p is None:
-                raise ValidationError("row-discriminator path needs y and pre-trained rows")
-            fw.ud = np.where(gb.y > 0, gb.u_p, fw.u)
-            fw.d1_out, fw.d1_cache = net_forward(model.d1, fw.ud)
-            p = _clip_unit(fw.d1_out)
-            fw.adv1 = -float(np.sum((gb.y == 0) * np.log(p)))
+        fw.d2_out, fw.d2_cache = net_forward(model.d2, np.hstack([fw.xbar, gb.hint]))
+        p = _clip_unit(fw.d2_out)
+        fw.adv2 = float(np.sum((gb.mask == 0) * np.log(1.0 - p)))
+        fw.ud = np.where(gb.y > 0, gb.u_p, fw.u)
+        fw.d1_out, fw.d1_cache = net_forward(model.d1, fw.ud)
+        p = _clip_unit(fw.d1_out)
+        fw.adv1 = -float(np.sum((gb.y == 0) * np.log(p)))
 
     if cfg.alpha > 0.0:
         fw.recon = kl_loss(gb.x, np.maximum(fw.xhat, LOG_EPS), gb.mask)
@@ -303,8 +274,7 @@ def _g_forward(model, gb: GBatch, cfg) -> _GForward:
 
 def _g_params(model):
     params = net_params(model.generator, "g")
-    if model.mcl is not None:
-        params.update(net_params(model.mcl, "mcl"))
+    params.update(net_params(model.mcl, "mcl"))
     params["v"] = model.V
     return params
 
@@ -315,7 +285,7 @@ def _g_grads(model, gb: GBatch, cfg, fw: _GForward):
     d_xhat = np.zeros_like(fw.xhat)
     d_u = np.zeros_like(fw.u)
 
-    if cfg.alpha < 1.0 and cfg.use_d2:
+    if cfg.alpha < 1.0:
         inb = (fw.d2_out > LOG_EPS) & (fw.d2_out < 1.0 - LOG_EPS)
         d_out = np.where(
             (gb.mask == 0) & inb, -one_m_alpha / (1.0 - _clip_unit(fw.d2_out)), 0.0
@@ -324,7 +294,6 @@ def _g_grads(model, gb: GBatch, cfg, fw: _GForward):
         # assembly blocks the observed cells, so only mask=0 cells pass through
         d_xhat += d_in[:, : model.n] * (gb.mask == 0)
 
-    if cfg.alpha < 1.0 and cfg.use_d1:
         inb = (fw.d1_out > LOG_EPS) & (fw.d1_out < 1.0 - LOG_EPS)
         d_out = np.where((gb.y == 0) & inb, -one_m_alpha / _clip_unit(fw.d1_out), 0.0)
         _, d_ud = net_backward(model.d1, fw.d1_cache, d_out, params=False)
@@ -336,19 +305,14 @@ def _g_grads(model, gb: GBatch, cfg, fw: _GForward):
         d_recon = np.where((gb.mask > 0) & (fw.xhat >= LOG_EPS), 1.0 - gb.x / xhat_c, 0.0)
         d_xhat += cfg.alpha * d_recon
 
-    if model.mcl is not None:
-        mcl_grads, d_flat = net_backward(model.mcl, fw.mcl_cache, d_xhat.reshape(-1, 1))
-        d_p = d_flat.reshape(fw.p.shape)
-    else:
-        mcl_grads, d_p = None, d_xhat
-
+    mcl_grads, d_flat = net_backward(model.mcl, fw.mcl_cache, d_xhat.reshape(-1, 1))
+    d_p = d_flat.reshape(fw.p.shape)
     d_v = fw.u.T @ d_p
     d_u += d_p @ model.V.T
     g_grads, _ = net_backward(model.generator, fw.g_cache, d_u, inputs=False)
 
     grads = net_grads_dict(g_grads, "g")
-    if mcl_grads is not None:
-        grads.update(net_grads_dict(mcl_grads, "mcl"))
+    grads.update(net_grads_dict(mcl_grads, "mcl"))
     grads["v"] = d_v
     return grads
 
@@ -410,18 +374,11 @@ def init_head(sizes) -> DenseNet:
 def build_model(cfg: BlockEchoConfig, m, n, pre: FactorPair, rng) -> EchoModel:
     """Networks, the trainable V (a copy of pre.V) and optimizer states; cfg resolved."""
     g = init_dense(list(cfg.g_layers), _hidden_acts(cfg.g_layers, "sigmoid"), rng)
-    mcl = init_head(cfg.mcl_layers) if cfg.mcl_layers is not None else None
-    d1 = d2 = opt_d1 = opt_d2 = None
-    if cfg.use_d1:
-        d1 = init_dense(list(cfg.d1_layers), _hidden_acts(cfg.d1_layers, "sigmoid"), rng)
-        opt_d1 = AdamState(lr=cfg.lr_d)
-    if cfg.use_d2:
-        d2 = init_dense(list(cfg.d2_layers), _hidden_acts(cfg.d2_layers, "sigmoid"), rng)
-        opt_d2 = AdamState(lr=cfg.lr_d)
+    d1 = init_dense(list(cfg.d1_layers), _hidden_acts(cfg.d1_layers, "sigmoid"), rng)
+    d2 = init_dense(list(cfg.d2_layers), _hidden_acts(cfg.d2_layers, "sigmoid"), rng)
     return EchoModel(
-        generator=g, mcl=mcl, V=pre.V.copy(), d1=d1, d2=d2,
-        opt_g=AdamState(lr=cfg.lr_g), opt_d1=opt_d1, opt_d2=opt_d2,
-        h=cfg.h, n=n,
+        generator=g, mcl=init_head(cfg.mcl_layers), V=pre.V.copy(), d1=d1, d2=d2,
+        opt_g=AdamState(lr=LR), opt_d1=AdamState(lr=LR), opt_d2=AdamState(lr=LR), n=n,
     )
 
 
@@ -476,7 +433,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     # It starts at zero and is divided by 1 - decay**iters at the end (the
     # bias correction of Adam), so it weighs only trained weights and none
     # of the initialization.
-    ema = {k: np.zeros_like(v) for k, v in _g_params(model).items()} if cfg.ema_decay > 0 else None
+    ema = {k: np.zeros_like(v) for k, v in _g_params(model).items()}
 
     for it in range(cfg.iters):
         rows = np.sort(batch_rng.choice(m, size=cfg.batch_rows, replace=False))
@@ -488,23 +445,20 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
         d1_val = d2_val = float("nan")
 
         # the batch is sliced from checked inputs and y is a 0/1 draw, so the
-        # loop calls the kernel directly instead of the validating wrappers
+        # loop calls the kernel directly
         if cfg.alpha < 1.0:
             u, _ = net_forward(model.generator, np.hstack([xb, mb, zb]))
             xhat, _, _ = _head(model, u)
-            if cfg.use_d2:
-                hb = build_hint(mb, cfg.hint_rate, hint_rng)
-                xbar = np.hstack([_assemble(xb, mb, xhat), hb])
-                d2_val = _d_step(model.d2, model.opt_d2, "d2", xbar, mb)
-            if cfg.use_d1:
-                yb = bernoulli(y_rng, cfg.batch_rows, 1, 0.5)
-                d1_val = _d_step(model.d1, model.opt_d1, "d1", np.where(yb > 0, upb, u), yb)
+            hb = build_hint(mb, HINT_RATE, hint_rng)
+            xbar = np.hstack([_assemble(xb, mb, xhat), hb])
+            d2_val = _d_step(model.d2, model.opt_d2, "d2", xbar, mb)
+            yb = bernoulli(y_rng, cfg.batch_rows, 1, 0.5)
+            d1_val = _d_step(model.d1, model.opt_d1, "d1", np.where(yb > 0, upb, u), yb)
 
         g_total, recon = _g_step(model, GBatch(xb, mb, zb, hb, yb, upb), cfg)
-        if ema is not None:
-            for k, v in _g_params(model).items():
-                ema[k] *= cfg.ema_decay
-                ema[k] += (1.0 - cfg.ema_decay) * v
+        for k, v in _g_params(model).items():
+            ema[k] *= EMA_DECAY
+            ema[k] += (1.0 - EMA_DECAY) * v
         trace["d1"].append(d1_val)
         trace["d2"].append(d2_val)
         trace["mf_term"].append(recon if cfg.alpha > 0.0 else float("nan"))
@@ -516,13 +470,14 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
                 f"g_total={_last_finite(trace['g_total'][:-1])}"
             )
 
-    if ema is not None and cfg.iters > 0:
-        correction = 1.0 - cfg.ema_decay ** cfg.iters
+    if cfg.iters > 0:
+        correction = 1.0 - EMA_DECAY ** cfg.iters
         for k, v in _g_params(model).items():
             v[:] = ema[k] / correction
     z_full = uniform(noise_rng, m, cfg.h, 0.0, NOISE_HIGH)
-    u_full = generator_forward(model, values, mask, z_full)
-    imputed = _assemble(values, mask, mcl_forward(model, u_full))
+    u_full, _ = net_forward(model.generator, np.hstack([values, mask, z_full]))
+    xhat_full, _, _ = _head(model, u_full)
+    imputed = _assemble(values, mask, xhat_full)
     result = ImputationResult(
         imputed=imputed,
         loss_trace=trace,

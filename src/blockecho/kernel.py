@@ -52,9 +52,10 @@ def _apply_activation(name, z):
 
 
 def _activation_grad(name, z, a):
-    """d activation / d z, expressed from pre-activation z and output a."""
+    """d activation / d z, expressed from pre-activation z and output a; relu's
+    is a boolean mask, which a product with a float array reads as 0.0/1.0."""
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0
     if name == "sigmoid":
         return a * (1.0 - a)
     if name == "identity":

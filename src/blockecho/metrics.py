@@ -1,7 +1,7 @@
 """Normalization and evaluation metrics.
 
-Data is min-max scaled into [eps, 1] using observed cells only (per column
-by default, since columns typically carry different units). Two RMSE
+Data is min-max scaled into [EPS_NORM, 1] using observed cells only, per
+column, since columns typically carry different units. Two RMSE
 variants over the missing cells are reported side by side:
 
 * ``rmse_standard``  = sqrt(sum(err^2) / count)
@@ -30,30 +30,28 @@ class NormParams:
 
     Degenerate columns (constant or fully missing) fall back to the global
     observed span so transform/inverse stay bijective; their observed values
-    land exactly on eps.
+    land exactly on EPS_NORM.
     """
 
     col_min: np.ndarray
     col_span: np.ndarray          # per-column max - min, with fallback applied
     degenerate: np.ndarray        # bool per column
-    eps: float
-    per_column: bool
 
     def transform(self, x) -> np.ndarray:
         x = as_matrix(x)
         if x.shape[1] != self.col_min.size:
             raise ShapeError(f"matrix has {x.shape[1]} columns, params have {self.col_min.size}")
-        return self.eps + (1.0 - self.eps) * (x - self.col_min) / self.col_span
+        return EPS_NORM + (1.0 - EPS_NORM) * (x - self.col_min) / self.col_span
 
     def inverse(self, xn) -> np.ndarray:
         xn = as_matrix(xn)
         if xn.shape[1] != self.col_min.size:
             raise ShapeError(f"matrix has {xn.shape[1]} columns, params have {self.col_min.size}")
-        return self.col_min + (xn - self.eps) * self.col_span / (1.0 - self.eps)
+        return self.col_min + (xn - EPS_NORM) * self.col_span / (1.0 - EPS_NORM)
 
 
-def normalize(x, mask, eps=EPS_NORM, per_column=True):
-    """Map observed entries into [eps, 1]; returns (matrix, NormParams).
+def normalize(x, mask):
+    """Map observed entries into [EPS_NORM, 1]; returns (matrix, NormParams).
 
     Missing cells of the returned matrix hold the 0.0 sentinel.
     """
@@ -63,15 +61,12 @@ def normalize(x, mask, eps=EPS_NORM, per_column=True):
         raise ShapeError(f"data {x.shape} != mask {mask.shape}")
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ValidationError("mask entries must be exactly 0 or 1")
-    if not 0.0 <= eps < 1.0:
-        raise ValidationError(f"eps must lie in [0, 1), got {eps}")
     obs = mask > 0
     if not obs.any():
         raise SpecError("cannot normalize a matrix with no observed entries")
     if not np.all(np.isfinite(x[obs])):
         raise ValidationError("observed entries must be finite")
 
-    n = x.shape[1]
     xo = np.where(obs, x, np.nan)
     counts = obs.sum(axis=0)
     with warnings.catch_warnings():
@@ -85,12 +80,8 @@ def normalize(x, mask, eps=EPS_NORM, per_column=True):
     degenerate = (counts == 0) | ~(col_max > col_min)
     col_min = np.where(counts == 0, gmin, col_min)
     span = np.where(degenerate, gspan, col_max - col_min)
-    if not per_column:
-        col_min = np.full(n, gmin)
-        span = np.full(n, gspan)
-        degenerate = np.zeros(n, dtype=bool)
 
-    params = NormParams(col_min, span, degenerate, float(eps), per_column)
+    params = NormParams(col_min, span, degenerate)
     out = np.where(obs, params.transform(x), 0.0)
     return out, params
 

@@ -8,13 +8,14 @@ from blockecho.errors import EvaluationError, SpecError
 class TestNormalize:
     def test_minmax_column(self):
         x = np.array([[0.0], [5.0], [10.0]])
-        out, _ = MT.normalize(x, np.ones((3, 1)), eps=0.0)
-        assert np.allclose(out, [[0.0], [0.5], [1.0]])
+        out, _ = MT.normalize(x, np.ones((3, 1)))
+        eps = MT.EPS_NORM
+        assert np.allclose(out, [[eps], [eps + (1.0 - eps) * 0.5], [1.0]])
 
     def test_constant_column_maps_to_eps(self):
         x = np.array([[3.0, 1.0], [3.0, 2.0], [3.0, 3.0]])
-        out, params = MT.normalize(x, np.ones((3, 2)), eps=1e-3)
-        assert np.allclose(out[:, 0], 1e-3)
+        out, params = MT.normalize(x, np.ones((3, 2)))
+        assert np.allclose(out[:, 0], MT.EPS_NORM)
         assert params.degenerate[0] and not params.degenerate[1]
 
     def test_roundtrip(self):
@@ -40,8 +41,9 @@ class TestNormalize:
         # a huge value hidden behind the mask must not affect the scale
         x = np.array([[1.0], [2.0], [1e9]])
         mask = np.array([[1.0], [1.0], [0.0]])
-        out, _ = MT.normalize(x, mask, eps=0.0)
-        assert out[1, 0] == 1.0 and out[2, 0] == 0.0  # sentinel at missing
+        out, _ = MT.normalize(x, mask)
+        assert out[0, 0] == MT.EPS_NORM and out[1, 0] == 1.0
+        assert out[2, 0] == 0.0  # sentinel at missing
 
     def test_monotone_per_column(self):
         rng = np.random.default_rng(3)
@@ -54,11 +56,6 @@ class TestNormalize:
     def test_empty_mask_rejected(self):
         with pytest.raises(SpecError):
             MT.normalize(np.ones((2, 2)), np.zeros((2, 2)))
-
-    def test_global_switch(self):
-        x = np.array([[0.0, 10.0], [5.0, 20.0]])
-        out, _ = MT.normalize(x, np.ones((2, 2)), eps=0.0, per_column=False)
-        assert np.allclose(out, [[0.0, 0.5], [0.25, 1.0]])
 
 
 class TestRmse:
