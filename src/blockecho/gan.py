@@ -28,8 +28,10 @@ objectives with generator descent on
 
 where the reconstruction term is the generalized KL divergence of observed
 cells through the completion head. All three optimizers are Adam at the
-one learning rate LR, and the final imputation runs from a bias-corrected
-EMA_DECAY average of the generator-side weights.
+one learning rate LR. The final imputation runs from a bias-corrected
+EMA_DECAY average of the generator-side weights, batch_rows rows at a
+time: of its arrays only the noise draw and the imputed matrix have a row
+per data row.
 The generator's adversarial part uses the non-saturating surrogate
 (maximize log D on fake rows/cells), which shares fixed points with the
 minimax form but keeps gradients alive early in training.
@@ -107,7 +109,8 @@ class BlockEchoConfig:
         """Fill size-dependent defaults and validate against an m x n matrix."""
         h = self.h if self.h is not None else min(16, -(-min(m, n) // 4))
         batch = self.batch_rows if self.batch_rows is not None else min(m, 128)
-        require_int(h=h, iters=self.iters, batch_rows=batch, pretrain_iters=self.pretrain_iters)
+        require_int(h=h, iters=self.iters, batch_rows=batch, pretrain_iters=self.pretrain_iters,
+                    seed=self.seed)
         if not 0.0 <= self.alpha <= 1.0:
             raise SpecError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.iters < 0:
@@ -119,8 +122,11 @@ class BlockEchoConfig:
             raise SpecError(f"rank h must be at least 1, got {h}")
         if not 1 <= batch <= m:
             raise SpecError(f"batch_rows {batch} outside 1..{m}")
+        # numpy integers are stored as Python ints, so to_dict() stays JSON
+        h = int(h)
         return replace(
-            self, h=h, batch_rows=batch,
+            self, h=h, batch_rows=int(batch), iters=int(self.iters),
+            pretrain_iters=int(self.pretrain_iters), seed=int(self.seed),
             g_layers=_layer_sizes("g_layers", self.g_layers, 2 * n + h, n, h),
             d1_layers=_layer_sizes("d1_layers", self.d1_layers, h, h, 1),
             d2_layers=_layer_sizes("d2_layers", self.d2_layers, 2 * n, n, n),
@@ -146,7 +152,7 @@ def _layer_sizes(name, sizes, first, hidden, last):
     require_int(**{f"{name}[{i}]": s for i, s in enumerate(sizes)})
     if min(sizes) < 1 or (sizes[0], sizes[-1]) != (first, last):
         raise SpecError(f"{name} {tuple(sizes)} must map {first} -> {last} through sizes >= 1")
-    return tuple(sizes)
+    return tuple(int(s) for s in sizes)
 
 
 @dataclass
@@ -159,7 +165,6 @@ class EchoModel:
     opt_g: AdamState
     opt_d1: AdamState
     opt_d2: AdamState
-    n: int
 
 
 @dataclass
@@ -220,11 +225,11 @@ def _assemble(values, mask, xhat):
 
 
 def _head(model, u):
-    """(estimate, product, head cache) of generator embeddings u, unchecked:
-    the estimate is the completion head applied entrywise to u @ V."""
+    """(estimate, head cache) of generator embeddings u, unchecked: the
+    estimate is the completion head applied entrywise to u @ V."""
     p = u @ model.V
     out, cache = net_forward(model.mcl, p.reshape(-1, 1))
-    return out.reshape(p.shape), p, cache
+    return out.reshape(p.shape), cache
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +240,7 @@ class _GForward:
     """All intermediates of one generator-side forward pass."""
 
     __slots__ = (
-        "u", "g_cache", "p", "xhat", "mcl_cache", "xbar",
+        "u", "g_cache", "xhat", "mcl_cache", "xbar",
         "d1_out", "d1_cache", "ud", "d2_out", "d2_cache",
         "adv1", "adv2", "recon", "total",
     )
@@ -244,7 +249,7 @@ class _GForward:
 def _g_forward(model, gb: GBatch, cfg) -> _GForward:
     fw = _GForward()
     fw.u, fw.g_cache = net_forward(model.generator, np.hstack([gb.x, gb.mask, gb.z]))
-    fw.xhat, fw.p, fw.mcl_cache = _head(model, fw.u)
+    fw.xhat, fw.mcl_cache = _head(model, fw.u)
     fw.xbar = _assemble(gb.x, gb.mask, fw.xhat)
     fw.adv1 = fw.adv2 = fw.recon = 0.0
     fw.d1_out = fw.d2_out = fw.d1_cache = fw.d2_cache = fw.ud = None
@@ -292,7 +297,7 @@ def _g_grads(model, gb: GBatch, cfg, fw: _GForward):
         )
         _, d_in = net_backward(model.d2, fw.d2_cache, d_out, params=False)
         # assembly blocks the observed cells, so only mask=0 cells pass through
-        d_xhat += d_in[:, : model.n] * (gb.mask == 0)
+        d_xhat += d_in[:, : model.V.shape[1]] * (gb.mask == 0)
 
         inb = (fw.d1_out > LOG_EPS) & (fw.d1_out < 1.0 - LOG_EPS)
         d_out = np.where((gb.y == 0) & inb, -one_m_alpha / _clip_unit(fw.d1_out), 0.0)
@@ -306,7 +311,7 @@ def _g_grads(model, gb: GBatch, cfg, fw: _GForward):
         d_xhat += cfg.alpha * d_recon
 
     mcl_grads, d_flat = net_backward(model.mcl, fw.mcl_cache, d_xhat.reshape(-1, 1))
-    d_p = d_flat.reshape(fw.p.shape)
+    d_p = d_flat.reshape(fw.xhat.shape)
     d_v = fw.u.T @ d_p
     d_u += d_p @ model.V.T
     g_grads, _ = net_backward(model.generator, fw.g_cache, d_u, inputs=False)
@@ -371,14 +376,14 @@ def init_head(sizes) -> DenseNet:
     return DenseNet(weights, biases, _hidden_acts(sizes, "sigmoid"))
 
 
-def build_model(cfg: BlockEchoConfig, m, n, pre: FactorPair, rng) -> EchoModel:
+def build_model(cfg: BlockEchoConfig, pre: FactorPair, rng) -> EchoModel:
     """Networks, the trainable V (a copy of pre.V) and optimizer states; cfg resolved."""
     g = init_dense(list(cfg.g_layers), _hidden_acts(cfg.g_layers, "sigmoid"), rng)
     d1 = init_dense(list(cfg.d1_layers), _hidden_acts(cfg.d1_layers, "sigmoid"), rng)
     d2 = init_dense(list(cfg.d2_layers), _hidden_acts(cfg.d2_layers, "sigmoid"), rng)
     return EchoModel(
         generator=g, mcl=init_head(cfg.mcl_layers), V=pre.V.copy(), d1=d1, d2=d2,
-        opt_g=AdamState(lr=LR), opt_d1=AdamState(lr=LR), opt_d2=AdamState(lr=LR), n=n,
+        opt_g=AdamState(lr=LR), opt_d1=AdamState(lr=LR), opt_d2=AdamState(lr=LR),
     )
 
 
@@ -395,8 +400,10 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     Per iteration: sample batch rows, ascend the element discriminator on
     the assembled matrix and its hint, ascend the row discriminator on the
     mixed embeddings, then descend the generator (with the completion head
-    and V) on the combined objective. Afterwards one deterministic
-    full-matrix forward pass with fresh noise produces the imputation.
+    and V) on the combined objective. Afterwards a deterministic forward
+    pass over every row, with one fresh noise draw for the whole matrix,
+    produces the imputation; it runs in chunks of batch_rows rows, so its
+    temporaries are batch-sized.
     The factors pre (mf.pretrain at rank cfg.h) anchor D1 and warm-start V.
 
     Returns (EchoModel, ImputationResult); deterministic per seed.
@@ -426,7 +433,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     pre = FactorPair(np.maximum(pre.U / c, EPS_FLOOR), np.maximum(pre.V * c, EPS_FLOOR))
 
     init_rng, batch_rng, noise_rng, hint_rng, y_rng = spawn_rngs(cfg.seed, 5)
-    model = build_model(cfg, m, n, pre, init_rng)
+    model = build_model(cfg, pre, init_rng)
     trace = {"d1": [], "d2": [], "mf_term": [], "g_total": []}
     # Polyak average of the generator-side weights: the final imputation pass
     # runs from these, which removes the snapshot noise of adversarial steps.
@@ -448,7 +455,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
         # loop calls the kernel directly
         if cfg.alpha < 1.0:
             u, _ = net_forward(model.generator, np.hstack([xb, mb, zb]))
-            xhat, _, _ = _head(model, u)
+            xhat, _ = _head(model, u)
             hb = build_hint(mb, HINT_RATE, hint_rng)
             xbar = np.hstack([_assemble(xb, mb, xhat), hb])
             d2_val = _d_step(model.d2, model.opt_d2, "d2", xbar, mb)
@@ -474,10 +481,16 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
         correction = 1.0 - EMA_DECAY ** cfg.iters
         for k, v in _g_params(model).items():
             v[:] = ema[k] / correction
+    # one noise draw for the whole matrix, consumed batch_rows rows at a
+    # time: rows are mapped independently, so only z_full and imputed have m
+    # rows, and the head's (width, cells) temporaries stay batch-sized
     z_full = uniform(noise_rng, m, cfg.h, 0.0, NOISE_HIGH)
-    u_full, _ = net_forward(model.generator, np.hstack([values, mask, z_full]))
-    xhat_full, _, _ = _head(model, u_full)
-    imputed = _assemble(values, mask, xhat_full)
+    imputed = np.empty_like(values)
+    for start in range(0, m, cfg.batch_rows):
+        r = slice(start, start + cfg.batch_rows)
+        u, _ = net_forward(model.generator, np.hstack([values[r], mask[r], z_full[r]]))
+        xhat, _ = _head(model, u)
+        imputed[r] = _assemble(values[r], mask[r], xhat)
     result = ImputationResult(
         imputed=imputed,
         loss_trace=trace,

@@ -10,7 +10,11 @@ Inside a network pass the activations are held feature-major, as
 (features, batch), so bias adds and activations sweep the long batch axis
 and a layer with fan-in or fan-out 1 is a broadcast product instead of a
 rank-1 matrix product. Outputs and input gradients come back C-contiguous
-as (batch, features).
+as (batch, features). A forward pass keeps one array per layer, its
+output: every activation's derivative is read from the output alone, relu
+runs in place on the layer's pre-activation, and the backward pass scales
+its own running gradient in place. Neither pass writes to an array the
+caller passed in.
 
 Everything here is deterministic given explicit inputs and RNG state.
 """
@@ -42,8 +46,9 @@ def _sigmoid(z):
 
 
 def _apply_activation(name, z):
+    """act(z); relu overwrites z, which must be the caller's own array."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "sigmoid":
         return _sigmoid(z)
     if name == "identity":
@@ -51,15 +56,19 @@ def _apply_activation(name, z):
     raise ValidationError(f"unknown activation '{name}'")
 
 
-def _activation_grad(name, z, a):
-    """d activation / d z, expressed from pre-activation z and output a; relu's
-    is a boolean mask, which a product with a float array reads as 0.0/1.0."""
+def _activation_grad(name, a):
+    """d activation / d z from the output a alone, or None for identity.
+
+    relu's is the boolean mask a > 0, which a product with a float array
+    reads as 0.0/1.0; it equals z > 0 for every z, -0.0 and NaN included,
+    since relu maps those to -0.0 and NaN.
+    """
     if name == "relu":
-        return z > 0.0
+        return a > 0.0
     if name == "sigmoid":
         return a * (1.0 - a)
     if name == "identity":
-        return np.ones_like(z)
+        return None
     raise ValidationError(f"unknown activation '{name}'")
 
 
@@ -118,16 +127,15 @@ def init_dense(sizes, activations, rng) -> DenseNet:
 
 @dataclass
 class ForwardCache:
-    """Activations recorded by net_forward, sufficient for exact backprop.
+    """What net_backward needs of a net_forward call: each layer's output.
 
-    inputs and pre are feature-major, (features, batch) per layer; out is the
-    batch-major output that net_forward returned.
+    outputs are feature-major, (features, batch): outputs[0] is the
+    transposed input batch and outputs[i + 1] the output of layer i, the
+    input of layer i + 1. No pre-activation is kept.
     """
 
     net_id: int
-    inputs: list   # layer inputs, inputs[0] is the transposed batch
-    pre: list      # pre-activation z per layer
-    out: np.ndarray
+    outputs: list
 
 
 def net_forward(net: DenseNet, x):
@@ -139,17 +147,15 @@ def net_forward(net: DenseNet, x):
     if x.shape[1] != net.in_size:
         raise ShapeError(f"input has {x.shape[1]} columns, network expects {net.in_size}")
     a = x.T
-    inputs, pre = [a], []
+    outputs = [a]
     for w, b, act in zip(net.weights, net.biases, net.activations):
         # with fan-in 1 the product is a rank-1 outer product: the broadcast
         # gives the same bits without a K=1 matrix product
         z = w.T * a if w.shape[0] == 1 else w.T @ a
         z += b.T
         a = _apply_activation(act, z)
-        pre.append(z)
-        inputs.append(a)
-    out = np.ascontiguousarray(a.T)
-    return out, ForwardCache(id(net), inputs, pre, out)
+        outputs.append(a)
+    return np.ascontiguousarray(a.T), ForwardCache(id(net), outputs)
 
 
 def net_backward(net: DenseNet, cache: ForwardCache, out_grad, *, params=True, inputs=True):
@@ -159,20 +165,26 @@ def net_backward(net: DenseNet, cache: ForwardCache, out_grad, *, params=True, i
     for (params=False or inputs=False) is not computed and comes back None.
     The input gradient is C-contiguous (batch, in_size).
     """
-    if cache.net_id != id(net) or len(cache.pre) != len(net.weights):
+    last = len(net.weights) - 1
+    if cache.net_id != id(net) or len(cache.outputs) != last + 2:
         raise ValidationError("forward cache does not belong to this network")
     out_grad = as_matrix(out_grad)
-    if out_grad.shape != cache.out.shape:
-        raise ShapeError(f"output grad {out_grad.shape} != output {cache.out.shape}")
+    out_shape = cache.outputs[-1].shape[::-1]
+    if out_grad.shape != out_shape:
+        raise ShapeError(f"output grad {out_grad.shape} != output {out_shape}")
     grads = [None] * len(net.weights) if params else None
     d = out_grad.T
-    for i in range(len(net.weights) - 1, -1, -1):
+    for i in range(last, -1, -1):
         w = net.weights[i]
-        dz = d * _activation_grad(net.activations[i], cache.pre[i], cache.inputs[i + 1])
+        act_grad = _activation_grad(net.activations[i], cache.outputs[i + 1])
+        if act_grad is not None:
+            # below the last layer d is this pass's own array, so it is
+            # scaled in place; the caller's out_grad is never written
+            d = d * act_grad if i == last else np.multiply(d, act_grad, out=d)
         if params:
-            grads[i] = (cache.inputs[i] @ dz.T, dz.sum(axis=1).reshape(1, -1))
+            grads[i] = (cache.outputs[i] @ d.T, d.sum(axis=1).reshape(1, -1))
         if i or inputs:
-            d = w * dz if w.shape[1] == 1 else w @ dz
+            d = w * d if w.shape[1] == 1 else w @ d
     return grads, np.ascontiguousarray(d.T) if inputs else None
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def toy_setup(m=6, n=4, seed=0, missing=0.4, **cfg_kw):
     cfg = G.BlockEchoConfig(h=3, iters=0, seed=seed, pretrain_iters=50, **cfg_kw)
     rcfg = cfg.resolved(m, n)
     pre, _ = mf.pretrain(xm, rcfg.h, max_iters=50, seed=seed)
-    model = G.build_model(rcfg, m, n, pre, K.make_rng(seed))
+    model = G.build_model(rcfg, pre, K.make_rng(seed))
     return xm, x, rcfg, pre, model
 
 
@@ -121,6 +122,24 @@ class TestConfig:
         d = G.BlockEchoConfig(h=5, alpha=0.7, mcl_layers=(1, 4, 1)).to_dict()
         assert json.loads(json.dumps(d)) == d
 
+    def test_numpy_integers_resolve_to_python_ints(self):
+        # json.dumps once raised TypeError on the resolved config and on the
+        # config a training result carries when sizes came in as numpy ints
+        i64 = np.int64
+        cfg = G.BlockEchoConfig(h=i64(2), iters=np.int32(2), batch_rows=i64(4), seed=i64(3),
+                                pretrain_iters=i64(5), d1_layers=(i64(2), i64(3), 1),
+                                mcl_layers=(1, i64(4), 1))
+        rcfg = cfg.resolved(8, 5)
+        ints = [rcfg.h, rcfg.iters, rcfg.batch_rows, rcfg.seed, rcfg.pretrain_iters]
+        for layers in (rcfg.g_layers, rcfg.d1_layers, rcfg.d2_layers, rcfg.mcl_layers):
+            ints.extend(layers)
+        assert all(type(v) is int for v in ints)
+        xm, _ = toy_instance(m=8, n=5, seed=3)
+        pre, _ = mf.pretrain(xm, 2, max_iters=10, seed=3)
+        _, result = G.train(xm, pre, cfg)
+        for d in (rcfg.to_dict(), result.config):
+            assert json.loads(json.dumps(d)) == d
+
 
 class TestHint:
     def test_rate_one_returns_mask(self):
@@ -181,7 +200,7 @@ class TestGeneratorAndMcl:
         xm, _, rcfg, pre, model = toy_setup()
         u = np.full((3, rcfg.h), 0.4)
         model.V[:] = 0.2
-        out, _, _ = G._head(model, u)
+        out, _ = G._head(model, u)
         assert np.allclose(out, out[0, 0])  # constant product -> constant output
 
     @pytest.mark.parametrize("layers", [(1, 8, 1), (1, 4, 8, 1)])
@@ -265,7 +284,7 @@ class TestCombinedLoss:
         assert calls.count("kl") == 1
         assert forwards(calls, model.d1) == 0 and forwards(calls, model.d2) == 0
         u, _ = K.net_forward(model.generator, np.hstack([gb.x, gb.mask, gb.z]))
-        xhat, _, _ = G._head(model, u)
+        xhat, _ = G._head(model, u)
         expected = mf.kl_loss(gb.x, np.maximum(xhat, G.LOG_EPS), gb.mask)
         assert abs(total - expected) < 1e-12
 
@@ -311,7 +330,7 @@ class TestGradients:
         inb = (fw.d2_out > G.LOG_EPS) & (fw.d2_out < 1 - G.LOG_EPS)
         d_out = np.where((gb.mask == 0) & inb, -1.0 / np.clip(fw.d2_out, G.LOG_EPS, 1 - G.LOG_EPS), 0.0)
         _, d_in = K.net_backward(model.d2, fw.d2_cache, d_out)
-        d_xhat = d_in[:, : model.n] * (gb.mask == 0)
+        d_xhat = d_in[:, : model.V.shape[1]] * (gb.mask == 0)
         assert np.all(d_xhat[gb.mask > 0] == 0.0)
 
 
@@ -347,6 +366,37 @@ class TestTrain:
         obs = xm.mask > 0
         assert np.all(np.isfinite(result.imputed))
         assert np.array_equal(result.imputed[obs], xm.values[obs])
+
+    def test_chunked_final_pass_matches_one_full_pass(self):
+        # 50 rows in batches of 16 leave a short last chunk; the oracle runs
+        # the returned model over every row at once on the same noise draw,
+        # the one that follows the loop's `iters` batch draws
+        xm, _ = toy_instance(m=50, n=6, seed=11, missing=0.4)
+        pre, _ = mf.pretrain(xm, 2, max_iters=30, seed=11)
+        cfg = G.BlockEchoConfig(h=2, iters=3, batch_rows=16, seed=11)
+        model, result = G.train(xm, pre, cfg)
+        noise_rng = K.spawn_rngs(cfg.seed, 5)[2]
+        for _ in range(cfg.iters):
+            K.uniform(noise_rng, cfg.batch_rows, cfg.h, 0.0, G.NOISE_HIGH)
+        z_full = K.uniform(noise_rng, 50, cfg.h, 0.0, G.NOISE_HIGH)
+        u, _ = K.net_forward(model.generator, np.hstack([xm.values, xm.mask, z_full]))
+        xhat, _ = G._head(model, u)
+        assert np.array_equal(result.imputed, G._assemble(xm.values, xm.mask, xhat))
+
+    def test_peak_memory_does_not_scale_with_cells_times_head_width(self):
+        # a whole-matrix final pass held the head's hidden layer, 8 values
+        # per cell, and peaked near 28 * m * n * 8 bytes at this size
+        m, n = 3000, 32
+        rng = np.random.default_rng(0)
+        xm = apply_mask(rng.uniform(0.1, 1.0, (m, n)), gen_scattered(m, n, 0.3, 0))
+        pre = mf.FactorPair(rng.uniform(0.1, 1.0, (m, 8)), rng.uniform(0.1, 1.0, (8, n)))
+        tracemalloc.start()
+        try:
+            G.train(xm, pre, G.BlockEchoConfig(h=8, iters=3, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * m * n * 8
 
     def test_deterministic(self):
         xm, _ = toy_instance(m=10, n=6, seed=3, missing=0.5)

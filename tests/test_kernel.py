@@ -120,13 +120,32 @@ class TestSigmoidBitExact:
         assert np.isnan(out[0, 0]) and np.isnan(out[0, 2]) and out[0, 1] == 0.5
 
 
+def reference_activation(name, z):
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    if name == "sigmoid":
+        return two_branch_sigmoid(z)
+    return z
+
+
+def reference_activation_grad(name, z):
+    """d act / d z from the pre-activation z, as the kernel once computed it."""
+    if name == "relu":
+        return z > 0.0
+    if name == "sigmoid":
+        s = two_branch_sigmoid(z)
+        return s * (1.0 - s)
+    return np.ones_like(z)
+
+
 def batch_major_forward(net, x):
-    """Reference: the row-wise pass, one (batch, features) array per layer."""
+    """Reference: the row-wise pass, one (batch, features) array per layer,
+    keeping each layer's pre-activation z next to its output."""
     inputs, pre, a = [x], [], x
     for w, b, act in zip(net.weights, net.biases, net.activations):
         z = a @ w
         z += b
-        a = K._apply_activation(act, z)
+        a = reference_activation(act, z)
         pre.append(z)
         inputs.append(a)
     return a, inputs, pre
@@ -135,7 +154,7 @@ def batch_major_forward(net, x):
 def batch_major_backward(net, inputs, pre, out_grad):
     grads, d = [None] * len(net.weights), out_grad
     for i in range(len(net.weights) - 1, -1, -1):
-        dz = d * K._activation_grad(net.activations[i], pre[i], inputs[i + 1])
+        dz = d * reference_activation_grad(net.activations[i], pre[i])
         grads[i] = (inputs[i].T @ dz, dz.sum(axis=0, keepdims=True))
         d = dz @ net.weights[i].T
     return grads, d
@@ -216,6 +235,40 @@ class TestBackwardParts:
         assert same_bits(d_in, only_in)
 
         assert K.net_backward(net, cache, d_out, params=False, inputs=False) == (None, None)
+
+
+class TestActivationCache:
+    def test_relu_mask_from_output_equals_mask_from_pre_activation(self):
+        # relu maps -0.0 to -0.0 and NaN to NaN, so a > 0 and z > 0 agree
+        z = np.array([[-0.0, 0.0, np.nan, -np.nan, 1e-300, -1e-300, np.inf, -np.inf, 2.0]])
+        a = K._apply_activation("relu", z.copy())
+        assert np.array_equal(K._activation_grad("relu", a), z > 0.0)
+
+    @pytest.mark.parametrize("sizes, acts", [
+        ((3, 4, 2), ("relu", "relu")),
+        ((3, 4, 2), ("relu", "identity")),
+        ((1, 4, 1), ("relu", "relu")),
+        ((3, 2), ("relu",)),
+        ((3, 4, 2), ("sigmoid", "relu")),
+    ])
+    def test_passes_leave_their_arguments_unchanged(self, sizes, acts):
+        rng = K.make_rng(sum(sizes) + len(acts))
+        net = K.init_dense(list(sizes), list(acts), rng)
+        x = rng.standard_normal((7, sizes[0]))
+        x[0, 0] = -0.0
+        x_before = x.copy()
+        out, cache = K.net_forward(net, x)
+        out_before = out.copy()
+        d_out = rng.standard_normal(out.shape)
+        d_before = d_out.copy()
+        first = K.net_backward(net, cache, d_out)
+        second = K.net_backward(net, cache, d_out)
+        assert same_bits(x, x_before)
+        assert same_bits(out, out_before)
+        assert same_bits(d_out, d_before)
+        assert same_bits(first[1], second[1])
+        for (dw, db), (dw2, db2) in zip(first[0], second[0]):
+            assert same_bits(dw, dw2) and same_bits(db, db2)
 
 
 def per_block_adam(state, params, grads):
