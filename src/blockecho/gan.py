@@ -6,14 +6,11 @@ The model has four trainable parts:
   noise) to a row embedding of width h;
 * a trainable column embedding V (h x n), warm-started from the
   pre-trained factorization;
-* a completion head that turns embeddings into values as
-  pointwise_net(U @ V), a shared scalar network applied entrywise so the
-  low-rank structure is kept while mild nonlinearities become learnable.
-  It starts close to the identity on [0, 1] (see init_head), so the first
-  estimates are the warm-started product itself rather than a constant;
+* a completion head, a shared scalar network applied entrywise to U @ V,
+  so the low-rank structure is kept while mild nonlinearities become
+  learnable. It starts close to the identity on [0, 1] (see init_head), and
   its sigmoid output keeps every estimate in [0, 1] even where the
-  factorization blows up. Every model has it: the bare product U @ V is
-  never the estimate;
+  factorization blows up. The bare product U @ V is never the estimate;
 * two discriminators: a row-level one (D1) that tells generator embeddings
   from pre-trained factorization embeddings (mixed row-wise by a random 0/1
   vector), and an element-level one (D2) that, given the assembled matrix
@@ -22,25 +19,22 @@ The model has four trainable parts:
   take part unless alpha = 1.
 
 Training alternates discriminator ascent on their log-likelihood
-objectives with generator descent on
+objectives (_d_step) with generator descent on
 
     (1 - alpha) * adversarial terms  +  alpha * masked reconstruction,
 
 where the reconstruction term is the generalized KL divergence of observed
-cells through the completion head. All three optimizers are Adam at the
-one learning rate LR. The final imputation runs from a bias-corrected
-EMA_DECAY average of the generator-side weights, batch_rows rows at a
-time: of its arrays only the noise draw and the imputed matrix have a row
-per data row.
-The generator's adversarial part uses the non-saturating surrogate
-(maximize log D on fake rows/cells), which shares fixed points with the
-minimax form but keeps gradients alive early in training.
-
-All gradients are exact reverse-mode compositions of the kernel's layers;
-the whole path is verified against central finite differences in the test
-suite.
+cells through the completion head. _g_objective writes this objective and
+its exact reverse-mode gradient once: each discriminator term's forward,
+loss and backward side by side, then the KL term, then the backward passes
+of the head and G; the test suite checks it against central finite
+differences. All three optimizers are Adam at the one learning rate LR.
+The final imputation runs from a bias-corrected EMA_DECAY average of the
+generator-side weights, batch_rows rows at a time: of its arrays only the
+noise draw and the imputed matrix have a row per data row.
 """
 
+import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -111,22 +105,27 @@ class BlockEchoConfig:
         batch = self.batch_rows if self.batch_rows is not None else min(m, 128)
         require_int(h=h, iters=self.iters, batch_rows=batch, pretrain_iters=self.pretrain_iters,
                     seed=self.seed)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise SpecError(f"alpha must lie in [0, 1], got {self.alpha}")
+        for name in ("alpha", "pretrain_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise SpecError(f"{name} must be a real number, got {value!r}")
+        alpha, tol = float(self.alpha), float(self.pretrain_tol)
+        if not 0.0 <= alpha <= 1.0:
+            raise SpecError(f"alpha must lie in [0, 1], got {alpha}")
         if self.iters < 0:
             raise SpecError(f"iters must be >= 0, got {self.iters}")
         # written so that NaN fails it too
-        if not 0.0 <= self.pretrain_tol < np.inf:
-            raise SpecError(f"pretrain_tol must be finite and >= 0, got {self.pretrain_tol}")
+        if not 0.0 <= tol < np.inf:
+            raise SpecError(f"pretrain_tol must be finite and >= 0, got {tol}")
         if h < 1:
             raise SpecError(f"rank h must be at least 1, got {h}")
         if not 1 <= batch <= m:
             raise SpecError(f"batch_rows {batch} outside 1..{m}")
-        # numpy integers are stored as Python ints, so to_dict() stays JSON
+        # numpy numbers are stored as Python ints and floats, so to_dict() stays JSON
         h = int(h)
         return replace(
-            self, h=h, batch_rows=int(batch), iters=int(self.iters),
-            pretrain_iters=int(self.pretrain_iters), seed=int(self.seed),
+            self, h=h, alpha=alpha, batch_rows=int(batch), iters=int(self.iters),
+            pretrain_iters=int(self.pretrain_iters), pretrain_tol=tol, seed=int(self.seed),
             g_layers=_layer_sizes("g_layers", self.g_layers, 2 * n + h, n, h),
             d1_layers=_layer_sizes("d1_layers", self.d1_layers, h, h, 1),
             d2_layers=_layer_sizes("d2_layers", self.d2_layers, 2 * n, n, n),
@@ -175,20 +174,6 @@ class ImputationResult:
     wall_time: float
 
 
-@dataclass
-class GBatch:
-    """One minibatch view: rows of the zero-imputed data and mask, fresh
-    noise, the matching pre-trained embeddings and, unless alpha = 1 leaves
-    no adversarial term, D2's hint rows and D1's real/fake row indicator."""
-
-    x: np.ndarray
-    mask: np.ndarray
-    z: np.ndarray
-    hint: np.ndarray | None
-    y: np.ndarray | None
-    u_p: np.ndarray
-
-
 def build_hint(mask, hint_rate, rng) -> np.ndarray:
     """Copy of the mask with entries blanked to 1/2 where B=0, P(B=1)=hint_rate."""
     mask = as_matrix(mask)
@@ -233,48 +218,7 @@ def _head(model, u):
 
 
 # ---------------------------------------------------------------------------
-# Forward/backward of the generator's combined objective.
-
-
-class _GForward:
-    """All intermediates of one generator-side forward pass."""
-
-    __slots__ = (
-        "u", "g_cache", "xhat", "mcl_cache", "xbar",
-        "d1_out", "d1_cache", "ud", "d2_out", "d2_cache",
-        "adv1", "adv2", "recon", "total",
-    )
-
-
-def _g_forward(model, gb: GBatch, cfg) -> _GForward:
-    fw = _GForward()
-    fw.u, fw.g_cache = net_forward(model.generator, np.hstack([gb.x, gb.mask, gb.z]))
-    fw.xhat, fw.mcl_cache = _head(model, fw.u)
-    fw.xbar = _assemble(gb.x, gb.mask, fw.xhat)
-    fw.adv1 = fw.adv2 = fw.recon = 0.0
-    fw.d1_out = fw.d2_out = fw.d1_cache = fw.d2_cache = fw.ud = None
-
-    # Generator-side adversarial terms. The row term uses the non-saturating
-    # surrogate (maximize log D on fake rows): that game is fair, since the
-    # generator can genuinely reach the pre-trained embedding distribution.
-    # The element term keeps the minimax form (minimize log(1-D) on fake
-    # cells): its gradient scales with D and dies out once the element
-    # discriminator is confidently right, which stops it from dragging
-    # unobserved cells along the reconstruction loss's null space forever.
-    if cfg.alpha < 1.0:
-        fw.d2_out, fw.d2_cache = net_forward(model.d2, np.hstack([fw.xbar, gb.hint]))
-        p = _clip_unit(fw.d2_out)
-        fw.adv2 = float(np.sum((gb.mask == 0) * np.log(1.0 - p)))
-        fw.ud = np.where(gb.y > 0, gb.u_p, fw.u)
-        fw.d1_out, fw.d1_cache = net_forward(model.d1, fw.ud)
-        p = _clip_unit(fw.d1_out)
-        fw.adv1 = -float(np.sum((gb.y == 0) * np.log(p)))
-
-    if cfg.alpha > 0.0:
-        fw.recon = kl_loss(gb.x, np.maximum(fw.xhat, LOG_EPS), gb.mask)
-
-    fw.total = (1.0 - cfg.alpha) * (fw.adv1 + fw.adv2) + cfg.alpha * fw.recon
-    return fw
+# The generator's combined objective and its exact gradient.
 
 
 def _g_params(model):
@@ -284,49 +228,63 @@ def _g_params(model):
     return params
 
 
-def _g_grads(model, gb: GBatch, cfg, fw: _GForward):
-    """Exact gradients of fw.total w.r.t. generator, completion head and V."""
-    one_m_alpha = 1.0 - cfg.alpha
-    d_xhat = np.zeros_like(fw.xhat)
-    d_u = np.zeros_like(fw.u)
+def _in_range(out):
+    """Where a discriminator score lies strictly inside the log clamp."""
+    return (out > LOG_EPS) & (out < 1.0 - LOG_EPS)
 
-    if cfg.alpha < 1.0:
-        inb = (fw.d2_out > LOG_EPS) & (fw.d2_out < 1.0 - LOG_EPS)
-        d_out = np.where(
-            (gb.mask == 0) & inb, -one_m_alpha / (1.0 - _clip_unit(fw.d2_out)), 0.0
-        )
-        _, d_in = net_backward(model.d2, fw.d2_cache, d_out, params=False)
+
+def _g_objective(model, x, mask, z, hint, y, u_p, alpha):
+    """(total, recon, grads) of the generator's objective on one batch.
+
+    hint (D2's) and y (D1's real/fake row indicator) are read only when
+    alpha < 1. grads is the exact gradient of total, keyed as _g_params
+    names the arrays. No argument is written.
+    """
+    u, g_cache = net_forward(model.generator, np.hstack([x, mask, z]))
+    xhat, mcl_cache = _head(model, u)
+    d_xhat, d_u = np.zeros_like(xhat), np.zeros_like(u)
+    adv1 = adv2 = recon = 0.0
+
+    # Generator-side adversarial terms. The row term uses the non-saturating
+    # surrogate (maximize log D on fake rows): that game is fair, since the
+    # generator can genuinely reach the pre-trained embedding distribution.
+    # The element term keeps the minimax form (minimize log(1-D) on fake
+    # cells): its gradient scales with D and dies out once the element
+    # discriminator is confidently right, which stops it from dragging
+    # unobserved cells along the reconstruction loss's null space forever.
+    if alpha < 1.0:
+        fake = mask == 0
+        out, cache = net_forward(model.d2, np.hstack([_assemble(x, mask, xhat), hint]))
+        p = _clip_unit(out)
+        adv2 = float(np.sum(fake * np.log(1.0 - p)))
+        d_out = np.where(fake & _in_range(out), -(1.0 - alpha) / (1.0 - p), 0.0)
+        _, d_in = net_backward(model.d2, cache, d_out, params=False)
         # assembly blocks the observed cells, so only mask=0 cells pass through
-        d_xhat += d_in[:, : model.V.shape[1]] * (gb.mask == 0)
+        d_xhat += d_in[:, : model.V.shape[1]] * fake
 
-        inb = (fw.d1_out > LOG_EPS) & (fw.d1_out < 1.0 - LOG_EPS)
-        d_out = np.where((gb.y == 0) & inb, -one_m_alpha / _clip_unit(fw.d1_out), 0.0)
-        _, d_ud = net_backward(model.d1, fw.d1_cache, d_out, params=False)
+        fake = y == 0
+        out, cache = net_forward(model.d1, np.where(y > 0, u_p, u))
+        p = _clip_unit(out)
+        adv1 = -float(np.sum(fake * np.log(p)))
+        d_out = np.where(fake & _in_range(out), -(1.0 - alpha) / p, 0.0)
+        _, d_ud = net_backward(model.d1, cache, d_out, params=False)
         # rows mixed from the pre-trained factors are constants
-        d_u += d_ud * (gb.y == 0)
+        d_u += d_ud * fake
 
-    if cfg.alpha > 0.0:
-        xhat_c = np.maximum(fw.xhat, LOG_EPS)
-        d_recon = np.where((gb.mask > 0) & (fw.xhat >= LOG_EPS), 1.0 - gb.x / xhat_c, 0.0)
-        d_xhat += cfg.alpha * d_recon
+    if alpha > 0.0:
+        xhat_c = np.maximum(xhat, LOG_EPS)
+        recon = kl_loss(x, xhat_c, mask)
+        d_xhat += alpha * np.where((mask > 0) & (xhat >= LOG_EPS), 1.0 - x / xhat_c, 0.0)
 
-    mcl_grads, d_flat = net_backward(model.mcl, fw.mcl_cache, d_xhat.reshape(-1, 1))
-    d_p = d_flat.reshape(fw.xhat.shape)
-    d_v = fw.u.T @ d_p
+    mcl_grads, d_flat = net_backward(model.mcl, mcl_cache, d_xhat.reshape(-1, 1))
+    d_p = d_flat.reshape(xhat.shape)
     d_u += d_p @ model.V.T
-    g_grads, _ = net_backward(model.generator, fw.g_cache, d_u, inputs=False)
-
+    g_grads, _ = net_backward(model.generator, g_cache, d_u, inputs=False)
     grads = net_grads_dict(g_grads, "g")
     grads.update(net_grads_dict(mcl_grads, "mcl"))
-    grads["v"] = d_v
-    return grads
-
-
-def _g_step(model, gb: GBatch, cfg):
-    fw = _g_forward(model, gb, cfg)
-    grads = _g_grads(model, gb, cfg, fw)
-    adam_step(model.opt_g, _g_params(model), grads)
-    return fw.total, fw.recon
+    grads["v"] = u.T @ d_p
+    total = (1.0 - alpha) * (adv1 + adv2) + alpha * recon
+    return total, recon, grads
 
 
 def _d_step(net, opt, prefix, inp, target):
@@ -335,8 +293,7 @@ def _d_step(net, opt, prefix, inp, target):
     out, cache = net_forward(net, inp)
     p = _clip_unit(out)
     val = _bce_sum(p, target)
-    inb = (out > LOG_EPS) & (out < 1.0 - LOG_EPS)
-    d_out = np.where(inb, -(target / p - (1.0 - target) / (1.0 - p)), 0.0)
+    d_out = np.where(_in_range(out), -(target / p - (1.0 - target) / (1.0 - p)), 0.0)
     grads, _ = net_backward(net, cache, d_out, inputs=False)
     adam_step(opt, net_params(net, prefix), net_grads_dict(grads, prefix))
     return val
@@ -435,12 +392,14 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     init_rng, batch_rng, noise_rng, hint_rng, y_rng = spawn_rngs(cfg.seed, 5)
     model = build_model(cfg, pre, init_rng)
     trace = {"d1": [], "d2": [], "mf_term": [], "g_total": []}
-    # Polyak average of the generator-side weights: the final imputation pass
+    # Polyak average of the generator-side weights g_params (the arrays
+    # themselves, which Adam updates in place): the final imputation pass
     # runs from these, which removes the snapshot noise of adversarial steps.
     # It starts at zero and is divided by 1 - decay**iters at the end (the
     # bias correction of Adam), so it weighs only trained weights and none
     # of the initialization.
-    ema = {k: np.zeros_like(v) for k, v in _g_params(model).items()}
+    g_params = _g_params(model)
+    ema = {k: np.zeros_like(v) for k, v in g_params.items()}
 
     for it in range(cfg.iters):
         rows = np.sort(batch_rng.choice(m, size=cfg.batch_rows, replace=False))
@@ -462,8 +421,9 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
             yb = bernoulli(y_rng, cfg.batch_rows, 1, 0.5)
             d1_val = _d_step(model.d1, model.opt_d1, "d1", np.where(yb > 0, upb, u), yb)
 
-        g_total, recon = _g_step(model, GBatch(xb, mb, zb, hb, yb, upb), cfg)
-        for k, v in _g_params(model).items():
+        g_total, recon, grads = _g_objective(model, xb, mb, zb, hb, yb, upb, cfg.alpha)
+        adam_step(model.opt_g, g_params, grads)
+        for k, v in g_params.items():
             ema[k] *= EMA_DECAY
             ema[k] += (1.0 - EMA_DECAY) * v
         trace["d1"].append(d1_val)
@@ -479,7 +439,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
 
     if cfg.iters > 0:
         correction = 1.0 - EMA_DECAY ** cfg.iters
-        for k, v in _g_params(model).items():
+        for k, v in g_params.items():
             v[:] = ema[k] / correction
     # one noise draw for the whole matrix, consumed batch_rows rows at a
     # time: rows are mapped independently, so only z_full and imputed have m

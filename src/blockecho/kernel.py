@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ShapeError, SpecError, TrainingError, ValidationError
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 def as_matrix(data) -> np.ndarray:
@@ -212,13 +213,11 @@ class AdamState:
     The first step fixes the group: the moments m and v are one flat buffer
     each, holding that step's blocks end to end in the order it lists them
     (layout holds (name, shape, start, stop) per block), and every later
-    step must bring the same block names and shapes.
+    step must bring the same block names and shapes. The moment decays and
+    the denominator floor are the module constants BETA1, BETA2 and ADAM_EPS.
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     layout: tuple = ()
     m: np.ndarray | None = None
@@ -260,19 +259,19 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
         state.layout, state.m, state.v = layout, np.zeros_like(g), np.zeros_like(g)
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    scratch = (1.0 - state.beta2) * g
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    scratch = (1.0 - BETA2) * g
     scratch *= g
     v += scratch
     # step = lr * (m / c1) / (sqrt(v / c2) + eps), built in g
     np.divide(v, c2, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += state.eps
+    scratch += ADAM_EPS
     np.divide(m, c1, out=g)
     g *= state.lr
     g /= scratch

@@ -75,14 +75,24 @@ def normalize(x, mask):
         col_max = np.nanmax(xo, axis=0)
     gmin = float(np.min(x[obs]))
     gmax = float(np.max(x[obs]))
-    gspan = gmax - gmin if gmax > gmin else 1.0
-
     degenerate = (counts == 0) | ~(col_max > col_min)
     col_min = np.where(counts == 0, gmin, col_min)
-    span = np.where(degenerate, gspan, col_max - col_min)
+    # finite values can span more than float64 holds: such a span is
+    # rejected below rather than left to warn and spread inf and NaN
+    with np.errstate(over="ignore"):
+        gspan = gmax - gmin if gmax > gmin else 1.0
+        span = np.where(degenerate, gspan, col_max - col_min)
+    if not np.all(np.isfinite(span)):
+        j = int(np.argmin(np.isfinite(span)))
+        raise ValidationError(
+            f"column {j}'s observed span overflows float64 (a constant or empty column "
+            "takes the span of all observed values)"
+        )
 
     params = NormParams(col_min, span, degenerate)
-    out = np.where(obs, params.transform(x), 0.0)
+    # missing cells enter as NaN, which spreads without a warning, and
+    # whatever they held is never read
+    out = np.where(obs, params.transform(xo), 0.0)
     return out, params
 
 

@@ -54,10 +54,11 @@ def forwards(calls, net):
     return sum(c is net for c in calls)
 
 
-def full_gbatch(xm, rcfg, pre, seed=0):
+def full_batch(xm, rcfg, pre, seed=0):
+    """_g_objective's batch arguments over the whole toy matrix."""
     rng = K.make_rng(seed + 99)
     m, n = xm.shape
-    return G.GBatch(
+    return dict(
         x=xm.values,
         mask=xm.mask,
         z=K.uniform(rng, m, rcfg.h, 0.0, G.NOISE_HIGH),
@@ -96,10 +97,22 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, bad", [
         ("pretrain_tol", -1e-6), ("pretrain_tol", np.nan), ("pretrain_tol", np.inf),
+        # each of these once surfaced as a stray TypeError
+        ("alpha", "0.5"), ("alpha", None), ("alpha", 0.5 + 0j), ("pretrain_tol", "1e-6"),
+        ("alpha", True), ("pretrain_tol", False),
     ])
     def test_out_of_range_rate_or_tolerance_rejected(self, field, bad):
         with pytest.raises(SpecError, match=field):
             G.BlockEchoConfig(**{field: bad}).resolved(10, 10)
+
+    def test_numpy_floats_resolve_to_python_floats(self):
+        # a float32 alpha or tolerance was once kept as is, so json.dumps raised
+        cfg = G.BlockEchoConfig(alpha=np.float32(0.25), pretrain_tol=np.float32(1e-6))
+        rcfg = cfg.resolved(10, 10)
+        assert type(rcfg.alpha) is float and type(rcfg.pretrain_tol) is float
+        assert rcfg.alpha == 0.25 and rcfg.pretrain_tol == float(np.float32(1e-6))
+        d = rcfg.to_dict()
+        assert json.loads(json.dumps(d)) == d
 
     @pytest.mark.parametrize("field, sizes", [
         ("mcl_layers", (1,)),
@@ -279,39 +292,50 @@ class TestDLosses:
 class TestCombinedLoss:
     def test_alpha_one_is_pure_kl(self, calls):
         xm, _, rcfg, pre, model = toy_setup(alpha=1.0)
-        gb = full_gbatch(xm, rcfg, pre)
-        total = G._g_forward(model, gb, rcfg).total
+        b = dict(full_batch(xm, rcfg, pre), hint=None, y=None)  # unread at alpha = 1
+        total, recon, _ = G._g_objective(model, **b, alpha=1.0)
         assert calls.count("kl") == 1
         assert forwards(calls, model.d1) == 0 and forwards(calls, model.d2) == 0
-        u, _ = K.net_forward(model.generator, np.hstack([gb.x, gb.mask, gb.z]))
+        u, _ = K.net_forward(model.generator, np.hstack([b["x"], b["mask"], b["z"]]))
         xhat, _ = G._head(model, u)
-        expected = mf.kl_loss(gb.x, np.maximum(xhat, G.LOG_EPS), gb.mask)
+        expected = mf.kl_loss(b["x"], np.maximum(xhat, G.LOG_EPS), b["mask"])
         assert abs(total - expected) < 1e-12
+        assert recon == total
 
     def test_alpha_zero_never_touches_kl(self, calls):
         xm, _, rcfg, pre, model = toy_setup(alpha=0.0)
-        gb = full_gbatch(xm, rcfg, pre)
-        G._g_forward(model, gb, rcfg)
-        assert calls.count("kl") == 0
+        _, recon, _ = G._g_objective(model, **full_batch(xm, rcfg, pre), alpha=0.0)
+        assert calls.count("kl") == 0 and recon == 0.0
         assert forwards(calls, model.d1) == 1 and forwards(calls, model.d2) == 1
 
     def test_convex_combination(self):
+        # both the objective and its gradient are affine in alpha
         xm, _, rcfg, pre, model = toy_setup()
-        gb = full_gbatch(xm, rcfg, pre)
-        adv = G._g_forward(model, gb, dataclasses.replace(rcfg, alpha=0.0)).total
-        rec = G._g_forward(model, gb, dataclasses.replace(rcfg, alpha=1.0)).total
-        mid = G._g_forward(model, gb, dataclasses.replace(rcfg, alpha=0.5)).total
-        assert abs(mid - (0.5 * adv + 0.5 * rec)) < 1e-9
+        b = full_batch(xm, rcfg, pre)
+        adv, rec, mid = (G._g_objective(model, **b, alpha=a) for a in (0.0, 1.0, 0.5))
+        assert abs(mid[0] - (0.5 * adv[0] + 0.5 * rec[0])) < 1e-9
+        for k, g in mid[2].items():
+            assert np.allclose(g, 0.5 * adv[2][k] + 0.5 * rec[2][k], rtol=1e-9, atol=1e-12), k
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_writes_none_of_its_arguments(self, alpha):
+        xm, _, rcfg, pre, model = toy_setup(alpha=alpha)
+        b = full_batch(xm, rcfg, pre)
+        arrays = dict(b, **G._g_params(model), **K.net_params(model.d1, "d1"),
+                      **K.net_params(model.d2, "d2"))
+        before = {k: v.copy() for k, v in arrays.items()}
+        G._g_objective(model, **b, alpha=alpha)
+        for k, v in arrays.items():
+            assert np.array_equal(v, before[k]), k
 
 
 class TestGradients:
     def fd_check(self, seed, **cfg_kw):
         xm, _, rcfg, pre, model = toy_setup(m=4, n=4, seed=seed, missing=0.5, **cfg_kw)
-        gb = full_gbatch(xm, rcfg, pre, seed)
-        fw = G._g_forward(model, gb, rcfg)
-        analytic = G._g_grads(model, gb, rcfg, fw)
-        params = G._g_params(model)
-        numeric = K.fd_gradient(lambda: G._g_forward(model, gb, rcfg).total, params)
+        b = full_batch(xm, rcfg, pre, seed)
+        _, _, analytic = G._g_objective(model, **b, alpha=rcfg.alpha)
+        numeric = K.fd_gradient(lambda: G._g_objective(model, **b, alpha=rcfg.alpha)[0],
+                                G._g_params(model))
         return K.max_rel_error(analytic, numeric)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -320,18 +344,6 @@ class TestGradients:
 
     def test_kl_only_path(self):
         assert self.fd_check(52, alpha=1.0) < 1e-4
-
-    def test_d2_gradient_blocked_at_observed_cells(self):
-        # the element discriminator contributes no gradient through
-        # observed cells of the estimate: assembly overwrites them
-        xm, _, rcfg, pre, model = toy_setup(m=5, n=4, seed=3, alpha=0.0)
-        gb = full_gbatch(xm, rcfg, pre, 3)
-        fw = G._g_forward(model, gb, rcfg)
-        inb = (fw.d2_out > G.LOG_EPS) & (fw.d2_out < 1 - G.LOG_EPS)
-        d_out = np.where((gb.mask == 0) & inb, -1.0 / np.clip(fw.d2_out, G.LOG_EPS, 1 - G.LOG_EPS), 0.0)
-        _, d_in = K.net_backward(model.d2, fw.d2_cache, d_out)
-        d_xhat = d_in[:, : model.V.shape[1]] * (gb.mask == 0)
-        assert np.all(d_xhat[gb.mask > 0] == 0.0)
 
 
 class TestTrain:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blockecho import metrics as MT
-from blockecho.errors import EvaluationError, SpecError
+from blockecho.errors import EvaluationError, SpecError, ValidationError
 
 
 class TestNormalize:
@@ -56,6 +56,22 @@ class TestNormalize:
     def test_empty_mask_rejected(self):
         with pytest.raises(SpecError):
             MT.normalize(np.ones((2, 2)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("x, mask", [
+        ([[1e308], [-1e308]], [[1.0], [1.0]]),                   # a column's own range
+        ([[1e308, 1.0], [2.0, -1e308]], [[1.0, 1.0], [0.0, 1.0]]),  # the span a constant column takes
+    ])
+    def test_span_beyond_float64_rejected(self, x, mask):
+        # finite values whose range overflows once warned in the subtraction
+        # and left inf spans behind
+        with pytest.raises(ValidationError, match="column 0's observed span overflows"):
+            MT.normalize(np.array(x), np.array(mask))
+
+    def test_missing_cells_are_never_read(self):
+        # the missing cell's distance to the column minimum overflows float64
+        x = np.array([[-1e308], [-9e307], [1e308]])
+        out, _ = MT.normalize(x, np.array([[1.0], [1.0], [0.0]]))
+        assert out.tolist() == [[MT.EPS_NORM], [1.0], [0.0]]
 
 
 class TestRmse:
