@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ShapeError, SpecError, ValidationError
-from .kernel import as_matrix, spawn_rngs
+from .kernel import as_matrix, require_int, require_real, spawn_rngs
 from .masking import MaskedMatrix, apply_mask
 from .metrics import wmape
 
@@ -71,12 +71,14 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in SYNTHETIC_KINDS:
             raise SpecError(f"unknown synthetic kind '{self.kind}'")
+        require_int(m=self.m, n=self.n, rank=self.rank)
+        require_real(noise=self.noise)
         if self.m < 1 or self.n < 1:
             raise SpecError(f"matrix size {self.m}x{self.n} is empty")
         if not 1 <= self.rank <= min(self.m, self.n):
             raise SpecError(f"rank {self.rank} infeasible for {self.m}x{self.n}")
-        if self.noise < 0:
-            raise SpecError(f"noise level must be >= 0, got {self.noise}")
+        if not 0.0 <= self.noise < np.inf:  # written so that NaN fails it too
+            raise SpecError(f"noise level must be finite and >= 0, got {self.noise}")
 
 
 def _default_labels(m, n):
@@ -190,6 +192,7 @@ def forecast_next(history, k) -> np.ndarray:
     """Predict the row after the last one: average the successors of the k
     historical rows nearest (Euclidean) to the last row."""
     history = as_matrix(history)
+    require_int(k=k)
     t = history.shape[0]
     if k < 1 or k >= t:
         raise SpecError(f"k must lie in 1..{t - 1} for a history of {t} rows")
@@ -212,6 +215,7 @@ def eval_downstream(original, variants, k=5, holdout=None) -> dict:
     t, n = original.shape
     if holdout is None:
         holdout = max(1, t // 10)
+    require_int(k=k, holdout=holdout)
     if not 1 <= holdout < t - k:
         raise SpecError(f"holdout {holdout} infeasible for {t} rows with k={k}")
     report = {"k": int(k), "holdout": int(holdout), "wmape": {}}

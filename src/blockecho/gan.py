@@ -1,22 +1,25 @@
 """Adversarial imputation trainer fusing matrix factorization with a GAN.
 
-The model has four trainable parts:
+The model has four trainable parts, each sized by the data (n columns)
+and the rank h alone, with one relu hidden layer and a sigmoid output:
 
 * a generator G mapping each data row (zero-imputed values | mask row |
-  noise) to a row embedding of width h;
+  noise) to a row embedding: 2n+h -> n -> h;
 * a trainable column embedding V (h x n), warm-started from the
   pre-trained factorization;
-* a completion head, a shared scalar network applied entrywise to U @ V,
-  so the low-rank structure is kept while mild nonlinearities become
-  learnable. It starts close to the identity on [0, 1] (see init_head), and
-  its sigmoid output keeps every estimate in [0, 1] even where the
-  factorization blows up. The bare product U @ V is never the estimate;
-* two discriminators: a row-level one (D1) that tells generator embeddings
-  from pre-trained factorization embeddings (mixed row-wise by a random 0/1
-  vector), and an element-level one (D2) that, given the assembled matrix
-  and a hint copy of the mask with a fraction 1 - HINT_RATE of entries
-  blanked to 1/2, scores each cell as observed or imputed. Both always
-  take part unless alpha = 1.
+* a completion head, a shared scalar network 1 -> HEAD_KNOTS -> 1 applied
+  entrywise to U @ V, so the low-rank structure is kept while mild
+  nonlinearities become learnable. It starts close to the identity on
+  [0, 1] (see init_head), and its sigmoid output keeps every estimate in
+  [0, 1] even where the factorization blows up. The bare product U @ V is
+  never the estimate;
+* two discriminators: a row-level one (D1, h -> h -> 1) that tells
+  generator embeddings from pre-trained factorization embeddings (mixed
+  row-wise by a random 0/1 vector), and an element-level one (D2,
+  2n -> n -> n) that, given the assembled matrix and a hint copy of the
+  mask with a fraction 1 - HINT_RATE of entries blanked to 1/2, scores
+  each cell as observed or imputed. Both always take part unless
+  alpha = 1.
 
 Training alternates discriminator ascent on their log-likelihood
 objectives (_d_step) with generator descent on
@@ -34,9 +37,9 @@ generator-side weights, batch_rows rows at a time: of its arrays only the
 noise draw and the imputed matrix have a row per data row.
 """
 
-import numbers
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,15 +56,18 @@ from .kernel import (
     net_grads_dict,
     net_params,
     require_int,
+    require_real,
     spawn_rngs,
     uniform,
 )
 from .masking import MaskedMatrix
-from .mf import EPS_FLOOR, FactorPair, kl_loss
+from .mf import DEFAULT_TOL, EPS_FLOOR, FactorPair, kl_loss
 
 LOG_EPS = 1e-7     # clamp inside every log term
 NOISE_HIGH = 0.01  # generator noise is uniform in [0, NOISE_HIGH]
 
+ACTS = ("relu", "sigmoid")  # every net: one relu hidden layer, a sigmoid output
+HEAD_KNOTS = 8     # relu knots in the completion head's hidden layer
 HEAD_CLIP = 0.01   # the completion head starts as logit(clip(p, HEAD_CLIP, 1 - HEAD_CLIP))
 HINT_RATE = 0.9    # share of D2's hint cells that show the true mask entry
 LR = 1e-3          # Adam learning rate of G (with head and V), D1 and D2
@@ -73,31 +79,26 @@ class BlockEchoConfig:
     """Everything the combined objective leaves free.
 
     ``None`` fields are resolved against the data size: h defaults to
-    min(16, ceil(min(m, n)/4)), the generator to [2n+h, n, h], the row
-    discriminator to [h, h, 1], the element discriminator to [2n, n, n]
-    and batch_rows to min(m, 128). Every layer tuple lists at least two
-    sizes, each an integer >= 1. The completion head maps 1 -> 1 through
-    relu hidden layers to a sigmoid output and is not drawn at random: at
-    any depth and width it starts as a sigmoid-bounded piecewise-linear
-    interpolation of the identity on [0, 1] (see init_head), so that
-    training starts from the pre-trained product instead of a near-constant
-    map. The hint rate, the learning rate and the weight average's decay
-    are the module constants HINT_RATE, LR and EMA_DECAY, fixed at the
-    values every run used: a setting no run changes only keeps an untested
-    code path alive.
+    min(16, ceil(min(m, n)/4)) and batch_rows to min(m, 128). The
+    architecture is derived from the data, not set: resolved() records it
+    in the non-init *_layers fields (see the module docstring). The hint
+    rate, the learning rate, the weight average's decay and pretrain_tol
+    (read by mf.pretrain's callers) are constants fixed at the values every
+    run used: a setting no run changes only keeps an untested code path
+    alive.
     """
 
     h: int | None = None
     alpha: float = 0.5
-    g_layers: tuple | None = None
-    d1_layers: tuple | None = None
-    d2_layers: tuple | None = None
-    mcl_layers: tuple = (1, 8, 1)
     iters: int = 5000
     batch_rows: int | None = None
     seed: int = 0
     pretrain_iters: int = 2000
-    pretrain_tol: float = 1e-6
+    g_layers: tuple | None = field(default=None, init=False)
+    d1_layers: tuple | None = field(default=None, init=False)
+    d2_layers: tuple | None = field(default=None, init=False)
+    mcl_layers: tuple | None = field(default=None, init=False)
+    pretrain_tol: ClassVar[float] = DEFAULT_TOL
 
     def resolved(self, m, n) -> "BlockEchoConfig":
         """Fill size-dependent defaults and validate against an m x n matrix."""
@@ -105,32 +106,24 @@ class BlockEchoConfig:
         batch = self.batch_rows if self.batch_rows is not None else min(m, 128)
         require_int(h=h, iters=self.iters, batch_rows=batch, pretrain_iters=self.pretrain_iters,
                     seed=self.seed)
-        for name in ("alpha", "pretrain_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise SpecError(f"{name} must be a real number, got {value!r}")
-        alpha, tol = float(self.alpha), float(self.pretrain_tol)
+        require_real(alpha=self.alpha)
+        alpha = float(self.alpha)
         if not 0.0 <= alpha <= 1.0:
             raise SpecError(f"alpha must lie in [0, 1], got {alpha}")
         if self.iters < 0:
             raise SpecError(f"iters must be >= 0, got {self.iters}")
-        # written so that NaN fails it too
-        if not 0.0 <= tol < np.inf:
-            raise SpecError(f"pretrain_tol must be finite and >= 0, got {tol}")
         if h < 1:
             raise SpecError(f"rank h must be at least 1, got {h}")
         if not 1 <= batch <= m:
             raise SpecError(f"batch_rows {batch} outside 1..{m}")
         # numpy numbers are stored as Python ints and floats, so to_dict() stays JSON
-        h = int(h)
-        return replace(
-            self, h=h, alpha=alpha, batch_rows=int(batch), iters=int(self.iters),
-            pretrain_iters=int(self.pretrain_iters), pretrain_tol=tol, seed=int(self.seed),
-            g_layers=_layer_sizes("g_layers", self.g_layers, 2 * n + h, n, h),
-            d1_layers=_layer_sizes("d1_layers", self.d1_layers, h, h, 1),
-            d2_layers=_layer_sizes("d2_layers", self.d2_layers, 2 * n, n, n),
-            mcl_layers=_layer_sizes("mcl_layers", self.mcl_layers, 1, None, 1),
-        )
+        h, n = int(h), int(n)
+        out = replace(self, h=h, alpha=alpha, batch_rows=int(batch), iters=int(self.iters),
+                      pretrain_iters=int(self.pretrain_iters), seed=int(self.seed))
+        for name, sizes in (("g_layers", (2 * n + h, n, h)), ("d1_layers", (h, h, 1)),
+                            ("d2_layers", (2 * n, n, n)), ("mcl_layers", (1, HEAD_KNOTS, 1))):
+            object.__setattr__(out, name, sizes)
+        return out
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -138,20 +131,6 @@ class BlockEchoConfig:
             if out[key] is not None:
                 out[key] = list(out[key])
         return out
-
-
-def _layer_sizes(name, sizes, first, hidden, last):
-    """The field's layer sizes as a tuple; None means (first, hidden, last),
-    or no default when hidden is None. SpecError naming the field unless
-    there are two or more integer sizes >= 1 that map first -> last."""
-    if sizes is None and hidden is not None:
-        sizes = (first, hidden, last)
-    if not isinstance(sizes, (tuple, list)) or len(sizes) < 2:
-        raise SpecError(f"{name} must list at least two layer sizes, got {sizes!r}")
-    require_int(**{f"{name}[{i}]": s for i, s in enumerate(sizes)})
-    if min(sizes) < 1 or (sizes[0], sizes[-1]) != (first, last):
-        raise SpecError(f"{name} {tuple(sizes)} must map {first} -> {last} through sizes >= 1")
-    return tuple(int(s) for s in sizes)
 
 
 @dataclass
@@ -303,43 +282,31 @@ def _d_step(net, opt, prefix, inp, target):
 # Model construction and the training loop.
 
 
-def _hidden_acts(sizes, final):
-    return ["relu"] * (len(sizes) - 2) + [final]
+def init_head() -> DenseNet:
+    """A completion head 1 -> HEAD_KNOTS -> 1 that starts close to the
+    identity on [0, 1].
 
-
-def init_head(sizes) -> DenseNet:
-    """A completion head that starts close to the identity on [0, 1].
-
-    Every hidden layer of width w holds relu knots at 0, 1/w, ..., (w-1)/w:
-    the first reads p directly, a later one reads its predecessor's first
-    unit, which equals p for p >= 0. The sigmoid output layer then sums
-    those hinges so that its logit interpolates logit(p) linearly between
-    the knots of the last hidden layer (0 alone when there is none) and 1,
-    with p clipped to [HEAD_CLIP, 1 - HEAD_CLIP] so the ends stay finite.
-    Deterministic: no random draws.
+    The hidden layer holds relu knots at 0, 1/w, ..., (w-1)/w for
+    w = HEAD_KNOTS, each reading p. The sigmoid output layer sums those
+    hinges so that its logit interpolates logit(p) linearly between the
+    knots and 1, with p clipped to [HEAD_CLIP, 1 - HEAD_CLIP] so the ends
+    stay finite. Deterministic: no random draws.
     """
-    weights, biases = [], []
-    for fan_in, width in zip(sizes[:-2], sizes[1:-1]):
-        w = np.zeros((fan_in, width))
-        w[0] = 1.0
-        weights.append(w)
-        biases.append(-np.arange(width).reshape(1, -1) / width)
-    knots = np.arange(sizes[-2] + 1) / sizes[-2]
+    knots = np.arange(HEAD_KNOTS + 1) / HEAD_KNOTS
     q = np.clip(knots, HEAD_CLIP, 1.0 - HEAD_CLIP)
     logit = np.log(q / (1.0 - q))
     slopes = np.diff(logit) / np.diff(knots)
-    weights.append(np.diff(slopes, prepend=0.0).reshape(-1, 1))
-    biases.append(logit[:1].reshape(1, 1))
-    return DenseNet(weights, biases, _hidden_acts(sizes, "sigmoid"))
+    weights = [np.ones((1, HEAD_KNOTS)), np.diff(slopes, prepend=0.0).reshape(-1, 1)]
+    biases = [-np.arange(HEAD_KNOTS).reshape(1, -1) / HEAD_KNOTS, logit[:1].reshape(1, 1)]
+    return DenseNet(weights, biases, list(ACTS))
 
 
 def build_model(cfg: BlockEchoConfig, pre: FactorPair, rng) -> EchoModel:
     """Networks, the trainable V (a copy of pre.V) and optimizer states; cfg resolved."""
-    g = init_dense(list(cfg.g_layers), _hidden_acts(cfg.g_layers, "sigmoid"), rng)
-    d1 = init_dense(list(cfg.d1_layers), _hidden_acts(cfg.d1_layers, "sigmoid"), rng)
-    d2 = init_dense(list(cfg.d2_layers), _hidden_acts(cfg.d2_layers, "sigmoid"), rng)
+    g, d1, d2 = (init_dense(list(sizes), ACTS, rng)
+                 for sizes in (cfg.g_layers, cfg.d1_layers, cfg.d2_layers))
     return EchoModel(
-        generator=g, mcl=init_head(cfg.mcl_layers), V=pre.V.copy(), d1=d1, d2=d2,
+        generator=g, mcl=init_head(), V=pre.V.copy(), d1=d1, d2=d2,
         opt_g=AdamState(lr=LR), opt_d1=AdamState(lr=LR), opt_d2=AdamState(lr=LR),
     )
 

@@ -19,6 +19,7 @@ caller passed in.
 Everything here is deterministic given explicit inputs and RNG state.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,6 +322,13 @@ def require_int(**values):
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise SpecError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(**values):
+    """SpecError unless every value is a Python or numpy real number (bool is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise SpecError(f"{name} must be a real number, got {value!r}")
 
 
 def _seed(seed) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SpecError, ValidationError
-from .kernel import as_matrix, make_rng
+from .kernel import as_matrix, make_rng, require_int, require_real
 
 PATTERNS = ("scattered", "uniblock", "multiblock")
 MIN_BLOCK = 4  # minimum block height and width
@@ -33,7 +33,7 @@ class MaskSpec:
     def __post_init__(self):
         if self.pattern not in PATTERNS:
             raise SpecError(f"unknown pattern '{self.pattern}' (choose from {PATTERNS})")
-        _check_rate(self.rate)
+        _check_rate(self.rate, k=self.k)
         if self.pattern == "multiblock" and self.k < 2:
             raise SpecError(f"multiblock needs k >= 2, got {self.k}")
 
@@ -67,7 +67,10 @@ def _check_binary(mask):
         raise ValidationError("mask entries must be exactly 0 or 1")
 
 
-def _check_rate(rate):
+def _check_rate(rate, **ints):
+    """SpecError unless rate is a real number in (0, 1) and every other value an integer."""
+    require_int(**ints)
+    require_real(rate=rate)
     if not 0.0 < rate < 1.0:
         raise SpecError(f"rate must lie in (0, 1), got {rate}")
 
@@ -75,7 +78,7 @@ def _check_rate(rate):
 def gen_scattered(m, n, rate, seed) -> np.ndarray:
     """Exactly round(rate*m*n) missing cells, placed by ranking a seeded
     random matrix."""
-    _check_rate(rate)
+    _check_rate(rate, m=m, n=n)
     target = round(rate * m * n)
     if target >= m * n:
         raise SpecError(f"rate {rate} would blank the whole {m}x{n} matrix")
@@ -109,7 +112,7 @@ def _sample_rect(m, n, target, rng):
 def gen_uniblock(m, n, rate, seed) -> np.ndarray:
     """One contiguous missing rectangle with dims >= 4, area as close as
     possible to round(rate*m*n)."""
-    _check_rate(rate)
+    _check_rate(rate, m=m, n=n)
     if m < MIN_BLOCK or n < MIN_BLOCK:
         raise SpecError(
             f"no feasible block: need at least {MIN_BLOCK}x{MIN_BLOCK}, matrix is {m}x{n}"
@@ -164,7 +167,7 @@ def _place_blocks(m, n, rate, k, seed, attempts=200, placements=60):
 
 def gen_multiblock(m, n, rate, k, seed) -> np.ndarray:
     """k disjoint missing rectangles, each >= 4x4, total within 5% of target."""
-    _check_rate(rate)
+    _check_rate(rate, m=m, n=n, k=k)
     mask = np.ones((m, n))
     for i0, j0, h, w in _place_blocks(m, n, rate, k, seed):
         mask[i0 : i0 + h, j0 : j0 + w] = 0.0

@@ -1,15 +1,8 @@
 """Normalization and evaluation metrics.
 
 Data is min-max scaled into [EPS_NORM, 1] using observed cells only, per
-column, since columns typically carry different units. Two RMSE
-variants over the missing cells are reported side by side:
-
-* ``rmse_standard``  = sqrt(sum(err^2) / count)
-* ``rmse_paper_form`` = sqrt(sum(err^2)) / count
-
-The second divides the Frobenius norm by the missing-cell count itself
-rather than its square root; some published tables use that convention, so
-both are emitted and ``rmse_standard`` is the default in reports.
+column, since columns typically carry different units. Imputation error is
+the RMSE over the missing cells, sqrt(sum(err^2) / count).
 """
 
 import warnings
@@ -98,11 +91,10 @@ def normalize(x, mask):
 
 class RmsePair(NamedTuple):
     standard: float
-    paper_form: float
 
 
 def rmse_missing(imputed, truth, mask) -> RmsePair:
-    """Both RMSE conventions over the missing (mask == 0) cells."""
+    """The RMSE over the missing (mask == 0) cells."""
     imputed = as_matrix(imputed)
     truth = as_matrix(truth)
     mask = as_matrix(mask)
@@ -115,8 +107,7 @@ def rmse_missing(imputed, truth, mask) -> RmsePair:
     if count == 0:
         raise EvaluationError("no missing cells to evaluate")
     err = imputed[miss] - truth[miss]
-    sq = float(np.sum(err * err))
-    return RmsePair(np.sqrt(sq / count), np.sqrt(sq) / count)
+    return RmsePair(np.sqrt(float(np.sum(err * err)) / count))
 
 
 def wmape(pred, actual) -> float:

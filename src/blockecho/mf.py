@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError, ValidationError
-from .kernel import as_matrix, make_rng, require_int
+from .kernel import as_matrix, make_rng, require_int, require_real
 from .masking import MaskedMatrix
 
 EPS_FLOOR = 1e-8  # positivity floor keeping KL and the updates defined
@@ -185,6 +185,7 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
     deterministic for a given seed.
     """
     require_int(h=h, max_iters=max_iters)
+    require_real(tol=tol)
     if max_iters < 0:
         raise SpecError(f"max_iters must be >= 0, got {max_iters}")
     if not 0.0 <= tol < np.inf:  # written so that NaN fails it too
@@ -199,17 +200,18 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
         raise ValidationError("observed values must be finite and nonnegative; normalize first")
     xs, zero = _zeros_to_one(xv)
     xo = np.where(obs, x, 0.0)
-    factors = init_factors(x, mask, h, seed)
+    # the updates floor U and V at EPS_FLOOR, so FactorPair checks them once, at return
+    init = init_factors(x, mask, h, seed)
+    U, V = init.U, init.V
     # xhat = U @ V of the current factors: the loss reads it, then the next
     # update starts from it and reuses its memory for the update ratios
-    xhat = factors.U @ factors.V
+    xhat = U @ V
     losses = [_kl_sum(xv, xhat.ravel()[idx], xs, zero)]
     converged = False
     for _ in range(max_iters):
         # rows and columns without observed cells are dealt with after the loop
-        U, V, _, _ = _mu_update(xo, mask, factors.U, factors.V, xhat)
-        factors = FactorPair(U, V)
-        np.matmul(factors.U, factors.V, out=xhat)
+        U, V, _, _ = _mu_update(xo, mask, U, V, xhat)
+        np.matmul(U, V, out=xhat)
         losses.append(_kl_sum(xv, xhat.ravel()[idx], xs, zero))
         prev, cur = losses[-2], losses[-1]
         if prev <= 0 or (prev - cur) / prev < tol:
@@ -218,10 +220,10 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
     dead_rows = mask.sum(axis=1) == 0
     dead_cols = mask.sum(axis=0) == 0
     if dead_rows.any() and not dead_rows.all():
-        factors.U[dead_rows] = factors.U[~dead_rows].mean(axis=0)
+        U[dead_rows] = U[~dead_rows].mean(axis=0)
     if dead_cols.any() and not dead_cols.all():
-        factors.V[:, dead_cols] = factors.V[:, ~dead_cols].mean(axis=1, keepdims=True)
-    return factors, MfTrace(losses, iterations=len(losses) - 1, converged=converged)
+        V[:, dead_cols] = V[:, ~dead_cols].mean(axis=1, keepdims=True)
+    return FactorPair(U, V), MfTrace(losses, iterations=len(losses) - 1, converged=converged)
 
 
 def mf_impute(factors: FactorPair) -> np.ndarray:

@@ -115,6 +115,25 @@ class TestSynthetic:
             D.SyntheticSpec("fractal", 10, 5)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: D.SyntheticSpec("lowrank_poisson", 10, 8, rank=1.5), "rank"),
+    (lambda: D.SyntheticSpec("lowrank_poisson", 10.5, 8), "m"),
+    (lambda: D.SyntheticSpec("lowrank_poisson", 10, 8, noise="a"), "noise"),
+    (lambda: D.SyntheticSpec("lowrank_poisson", 10, 8, noise=np.nan), "noise"),
+    (lambda: D.SyntheticSpec("lowrank_poisson", 10, 8, noise=np.inf), "noise"),
+    (lambda: D.forecast_next(np.ones((6, 2)), 2.5), "k"),
+    (lambda: D.eval_downstream(np.ones((20, 2)), [("o", np.ones((20, 2)))], holdout=2.5),
+     "holdout"),
+], ids=[
+    "rank", "m", "noise-str", "noise-nan", "noise-inf", "forecast-k", "holdout",
+])
+def test_malformed_argument_names_itself(make, field):
+    # each of these once surfaced as a stray TypeError, or was accepted (NaN
+    # or infinite noise, which makes Poisson draws warn and return NaN)
+    with pytest.raises(SpecError, match=f"^{field}"):
+        make()
+
+
 class TestForecast:
     def test_identical_rows(self):
         hist = np.tile([1.0, 2.0, 3.0], (6, 1))

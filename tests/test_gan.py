@@ -76,14 +76,29 @@ class TestConfig:
         assert cfg.g_layers == (2 * 50 + cfg.h, 50, cfg.h)
         assert cfg.d1_layers == (cfg.h, cfg.h, 1)
         assert cfg.d2_layers == (100, 50, 50)
+        assert cfg.mcl_layers == (1, G.HEAD_KNOTS, 1)
+
+    def test_settable_fields_are_what_a_run_sets(self):
+        # the architecture follows from the data and pretrain_tol is a constant
+        init = [f.name for f in dataclasses.fields(G.BlockEchoConfig) if f.init]
+        assert init == ["h", "alpha", "iters", "batch_rows", "seed", "pretrain_iters"]
+        assert G.BlockEchoConfig.pretrain_tol == mf.DEFAULT_TOL
+        with pytest.raises(TypeError):
+            G.BlockEchoConfig(g_layers=(9, 4))
+
+    @pytest.mark.parametrize("m, n, h", [(720, 64, 16), (6, 4, 3), (48, 16, None), (9, 1, 1)])
+    def test_layer_sizes_are_the_built_nets(self, m, n, h):
+        # perfbench's tracer names each net by these tuples
+        rcfg = G.BlockEchoConfig(h=h).resolved(m, n)
+        pre = mf.FactorPair(np.full((m, rcfg.h), 0.5), np.full((rcfg.h, n), 0.5))
+        model = G.build_model(rcfg, pre, K.make_rng(0))
+        for layers, net in [(rcfg.g_layers, model.generator), (rcfg.d1_layers, model.d1),
+                            (rcfg.d2_layers, model.d2), (rcfg.mcl_layers, model.mcl)]:
+            assert layers == tuple(net.sizes)
 
     def test_bad_alpha(self):
         with pytest.raises(SpecError):
             G.BlockEchoConfig(alpha=1.5).resolved(10, 10)
-
-    def test_inconsistent_layers(self):
-        with pytest.raises(SpecError):
-            G.BlockEchoConfig(h=4, g_layers=(9, 4)).resolved(10, 10)
 
     @pytest.mark.parametrize("field", ["h", "iters", "batch_rows", "pretrain_iters"])
     def test_non_integer_size_rejected(self, field):
@@ -96,53 +111,32 @@ class TestConfig:
         assert (cfg.h, cfg.iters, cfg.batch_rows, cfg.pretrain_iters) == (3, 2, 4, 5)
 
     @pytest.mark.parametrize("field, bad", [
-        ("pretrain_tol", -1e-6), ("pretrain_tol", np.nan), ("pretrain_tol", np.inf),
         # each of these once surfaced as a stray TypeError
-        ("alpha", "0.5"), ("alpha", None), ("alpha", 0.5 + 0j), ("pretrain_tol", "1e-6"),
-        ("alpha", True), ("pretrain_tol", False),
+        ("alpha", "0.5"), ("alpha", None), ("alpha", 0.5 + 0j), ("alpha", True),
     ])
     def test_out_of_range_rate_or_tolerance_rejected(self, field, bad):
         with pytest.raises(SpecError, match=field):
             G.BlockEchoConfig(**{field: bad}).resolved(10, 10)
 
     def test_numpy_floats_resolve_to_python_floats(self):
-        # a float32 alpha or tolerance was once kept as is, so json.dumps raised
-        cfg = G.BlockEchoConfig(alpha=np.float32(0.25), pretrain_tol=np.float32(1e-6))
-        rcfg = cfg.resolved(10, 10)
-        assert type(rcfg.alpha) is float and type(rcfg.pretrain_tol) is float
-        assert rcfg.alpha == 0.25 and rcfg.pretrain_tol == float(np.float32(1e-6))
+        # a float32 alpha was once kept as is, so json.dumps raised
+        rcfg = G.BlockEchoConfig(alpha=np.float32(0.25)).resolved(10, 10)
+        assert type(rcfg.alpha) is float and rcfg.alpha == 0.25
         d = rcfg.to_dict()
         assert json.loads(json.dumps(d)) == d
 
-    @pytest.mark.parametrize("field, sizes", [
-        ("mcl_layers", (1,)),
-        ("mcl_layers", (1, 8.5, 1)),
-        ("mcl_layers", (1, -2, 1)),
-        ("d1_layers", (2, -1, 1)),
-        ("mcl_layers", (1, 0, 1)),
-        ("d2_layers", (10, 0, 5)),
-        ("mcl_layers", None),
-    ])
-    def test_malformed_layer_tuple_rejected(self, field, sizes):
-        # each of these once surfaced as a stray numpy or Python exception, a
-        # warning, or a model with a dead layer or without a completion head
-        xm, _ = toy_instance(m=8, n=5, seed=4)
-        pre, _ = mf.pretrain(xm, 2, max_iters=10, seed=4)
-        with pytest.raises(SpecError, match=field):
-            G.train(xm, pre, G.BlockEchoConfig(h=2, iters=2, **{field: sizes}))
-
     def test_dict_roundtrip(self):
-        d = G.BlockEchoConfig(h=5, alpha=0.7, mcl_layers=(1, 4, 1)).to_dict()
-        assert json.loads(json.dumps(d)) == d
+        cfg = G.BlockEchoConfig(h=5, alpha=0.7)
+        for d in (cfg.to_dict(), cfg.resolved(10, 10).to_dict()):
+            assert json.loads(json.dumps(d)) == d
 
     def test_numpy_integers_resolve_to_python_ints(self):
         # json.dumps once raised TypeError on the resolved config and on the
         # config a training result carries when sizes came in as numpy ints
         i64 = np.int64
         cfg = G.BlockEchoConfig(h=i64(2), iters=np.int32(2), batch_rows=i64(4), seed=i64(3),
-                                pretrain_iters=i64(5), d1_layers=(i64(2), i64(3), 1),
-                                mcl_layers=(1, i64(4), 1))
-        rcfg = cfg.resolved(8, 5)
+                                pretrain_iters=i64(5))
+        rcfg = cfg.resolved(i64(8), i64(5))
         ints = [rcfg.h, rcfg.iters, rcfg.batch_rows, rcfg.seed, rcfg.pretrain_iters]
         for layers in (rcfg.g_layers, rcfg.d1_layers, rcfg.d2_layers, rcfg.mcl_layers):
             ints.extend(layers)
@@ -216,11 +210,10 @@ class TestGeneratorAndMcl:
         out, _ = G._head(model, u)
         assert np.allclose(out, out[0, 0])  # constant product -> constant output
 
-    @pytest.mark.parametrize("layers", [(1, 8, 1), (1, 4, 8, 1)])
-    def test_fresh_head_is_near_identity(self, layers):
+    def test_fresh_head_is_near_identity(self):
         # the head must pass the warm-started product U @ V through, not
         # squash it to a constant, and keep its sigmoid bound
-        _, _, _, _, model = toy_setup(mcl_layers=layers)
+        _, _, _, _, model = toy_setup()
         p = np.linspace(0.1, 0.9, 801).reshape(-1, 1)
         out, _ = K.net_forward(model.mcl, p)
         assert np.max(np.abs(out - p)) < 0.025

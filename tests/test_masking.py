@@ -155,6 +155,21 @@ class TestMaskSpecAndIO:
         with pytest.raises(SpecError):
             M.MaskSpec("multiblock", 0.3, 0, k=1)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: M.MaskSpec("multiblock", 0.3, 0, k=2.5), "k"),
+        (lambda: M.MaskSpec("scattered", "0.3", 0), "rate"),
+        (lambda: M.MaskSpec("scattered", None, 0), "rate"),
+        (lambda: M.gen_scattered(2.5, 4, 0.3, 0), "m"),
+        (lambda: M.gen_uniblock(10, 10.5, 0.3, 0), "n"),
+        (lambda: M.gen_multiblock(20, 20, 0.3, 2.5, 0), "k"),
+    ], ids=[
+        "spec-k", "spec-rate-str", "spec-rate-none", "scattered-m", "uniblock-n", "multiblock-k",
+    ])
+    def test_malformed_argument_names_itself(self, make, field):
+        # each of these once surfaced as a stray TypeError
+        with pytest.raises(SpecError, match=f"^{field} must be"):
+            make()
+
     def test_generate_dispatch(self):
         spec = M.MaskSpec("multiblock", 0.2, 3, k=2)
         mask = M.generate_mask(spec, 25, 25)

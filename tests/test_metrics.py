@@ -80,14 +80,13 @@ class TestRmse:
         mask = np.zeros((5, 5))
         mask[0, 0] = 1.0
         pair = MT.rmse_missing(x, x, mask)
-        assert pair.standard == 0.0 and pair.paper_form == 0.0
+        assert pair.standard == 0.0
 
     def test_hand_values(self):
         truth = np.zeros((1, 2))
         imputed = np.full((1, 2), 0.5)
         pair = MT.rmse_missing(imputed, truth, np.zeros((1, 2)))
         assert abs(pair.standard - 0.5) < 1e-12
-        assert abs(pair.paper_form - np.sqrt(0.5) / 2) < 1e-12
 
     def test_homogeneity(self):
         rng = np.random.default_rng(2)
@@ -98,7 +97,6 @@ class TestRmse:
         a = MT.rmse_missing(truth + err, truth, mask)
         b = MT.rmse_missing(truth + 3.0 * err, truth, mask)
         assert abs(b.standard - 3.0 * a.standard) < 1e-12
-        assert abs(b.paper_form - 3.0 * a.paper_form) < 1e-12
 
     def test_ignores_observed_cells(self):
         rng = np.random.default_rng(4)

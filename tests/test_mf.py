@@ -148,6 +148,8 @@ class TestPretrain:
     @pytest.mark.parametrize("kw, field", [
         ({"max_iters": -3}, "max_iters"),
         ({"tol": -1e-6}, "tol"), ({"tol": np.nan}, "tol"), ({"tol": np.inf}, "tol"),
+        # these once surfaced as a stray TypeError
+        ({"tol": "1"}, "tol"), ({"tol": None}, "tol"), ({"tol": False}, "tol"),
     ])
     def test_out_of_range_iterations_or_tolerance_rejected(self, kw, field):
         xm = apply_mask(*random_instance(5, 4, 0))
