@@ -111,12 +111,22 @@ class TestConfig:
         assert (cfg.h, cfg.iters, cfg.batch_rows, cfg.pretrain_iters) == (3, 2, 4, 5)
 
     @pytest.mark.parametrize("field, bad", [
+        ("pretrain_tol", -1e-6), ("pretrain_tol", np.nan), ("pretrain_tol", np.inf),
         # each of these once surfaced as a stray TypeError
         ("alpha", "0.5"), ("alpha", None), ("alpha", 0.5 + 0j), ("alpha", True),
     ])
-    def test_out_of_range_rate_or_tolerance_rejected(self, field, bad):
-        with pytest.raises(SpecError, match=field):
-            G.BlockEchoConfig(**{field: bad}).resolved(10, 10)
+    def test_out_of_range_rate_or_tolerance_rejected(self, field, bad, monkeypatch):
+        if field == "alpha":
+            with pytest.raises(SpecError, match="alpha"):
+                G.BlockEchoConfig(alpha=bad).resolved(10, 10)
+            return
+        # pretrain_tol is a class constant; a bad value is caught where the
+        # config's tolerance is used, as perfbench's impute passes it on
+        monkeypatch.setattr(G.BlockEchoConfig, "pretrain_tol", bad)
+        cfg = G.BlockEchoConfig(h=2, pretrain_iters=3).resolved(8, 5)
+        xm, _ = toy_instance(m=8, n=5, seed=4)
+        with pytest.raises(SpecError, match="tol"):
+            mf.pretrain(xm, cfg.h, max_iters=cfg.pretrain_iters, tol=cfg.pretrain_tol)
 
     def test_numpy_floats_resolve_to_python_floats(self):
         # a float32 alpha was once kept as is, so json.dumps raised
