@@ -156,6 +156,7 @@ class ImputationResult:
 def build_hint(mask, hint_rate, rng) -> np.ndarray:
     """Copy of the mask with entries blanked to 1/2 where B=0, P(B=1)=hint_rate."""
     mask = as_matrix(mask)
+    require_real(hint_rate=hint_rate)
     if not 0.0 <= hint_rate <= 1.0:
         raise SpecError(f"hint_rate must lie in [0, 1], got {hint_rate}")
     return np.where(rng.random(mask.shape) < hint_rate, mask, 0.5)

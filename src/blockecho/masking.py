@@ -100,9 +100,9 @@ def _closest_area_dims(m, n, target):
     return [(int(hs[i]), int(ws[j])) for i, j in idx]
 
 
-def _sample_rect(m, n, target, rng):
-    """One rectangle of near-target area: (i0, j0, height, width)."""
-    pairs = _closest_area_dims(m, n, target)
+def _sample_rect(m, n, pairs, rng):
+    """One rectangle (i0, j0, height, width) with its dims drawn from pairs,
+    a _closest_area_dims result."""
     h, w = pairs[rng.integers(len(pairs))]
     i0 = int(rng.integers(m - h + 1))
     j0 = int(rng.integers(n - w + 1))
@@ -118,7 +118,7 @@ def gen_uniblock(m, n, rate, seed) -> np.ndarray:
             f"no feasible block: need at least {MIN_BLOCK}x{MIN_BLOCK}, matrix is {m}x{n}"
         )
     target = round(rate * m * n)
-    i0, j0, h, w = _sample_rect(m, n, target, make_rng(seed))
+    i0, j0, h, w = _sample_rect(m, n, _closest_area_dims(m, n, target), make_rng(seed))
     mask = np.ones((m, n))
     mask[i0 : i0 + h, j0 : j0 + w] = 0.0
     return mask
@@ -139,14 +139,17 @@ def _place_blocks(m, n, rate, k, seed, attempts=200, placements=60):
         raise SpecError(f"need at least one block, got k={k}")
     target_total = round(rate * m * n)
     rng = make_rng(seed)
+    dims = {}  # per-block target -> its _closest_area_dims, computed once
     for _ in range(attempts):
         rects = []
         remaining = target_total
         for b in range(k):
             per_block = max(MIN_BLOCK * MIN_BLOCK, round(remaining / (k - b)))
+            if per_block not in dims:
+                dims[per_block] = _closest_area_dims(m, n, per_block)
             placed = False
             for _ in range(placements):
-                rect = _sample_rect(m, n, per_block, rng)
+                rect = _sample_rect(m, n, dims[per_block], rng)
                 if not any(_rects_overlap(rect, r) for r in rects):
                     rects.append(rect)
                     remaining -= rect[2] * rect[3]

@@ -14,6 +14,12 @@ and symmetrically for V. Each half-update minimizes an auxiliary upper
 bound of F that is tight at the current iterate, so F never increases; the
 loss trace of every run is checked against that guarantee in the tests.
 
+F feeds only the stopping test. Evaluated after every update it took about
+30 % of pretrain's time, so pretrain evaluates it after every CHECK_EVERY-th
+update and after the last one, as scikit-learn's NMF does. It stops once
+the mean relative decrease per update since the previous check falls below
+tol.
+
 This pre-training stage produces the anchor embeddings consumed by the
 adversarial imputer, and doubles as the plain matrix factorization
 baseline (impute with U @ V directly).
@@ -32,6 +38,7 @@ EPS_FLOOR = 1e-8  # positivity floor keeping KL and the updates defined
 
 DEFAULT_MAX_ITERS = 2000
 DEFAULT_TOL = 1e-6
+CHECK_EVERY = 10  # updates between two loss evaluations in pretrain
 
 
 @dataclass
@@ -59,8 +66,9 @@ class FactorPair:
 
 @dataclass
 class MfTrace:
-    losses: list        # loss before any update, then after each full (U, V) update
-    iterations: int
+    losses: list        # loss before any update, then at each check: after every
+                        # CHECK_EVERY-th full (U, V) update and after the last one
+    iterations: int     # full (U, V) updates run
     converged: bool
 
 
@@ -159,6 +167,7 @@ def init_factors(x, mask, h, seed) -> FactorPair:
     mean, which puts the first update multipliers near 1."""
     x = as_matrix(x)
     mask = as_matrix(mask)
+    require_int(h=h)
     if h < 1:
         raise SpecError(f"rank h must be at least 1, got {h}")
     rng = make_rng(seed)
@@ -176,7 +185,13 @@ def init_factors(x, mask, h, seed) -> FactorPair:
 
 
 def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, seed=0):
-    """Run mu_step until relative loss improvement < tol or max_iters.
+    """Run mu_step until the loss converges or max_iters updates have run.
+
+    The loss is evaluated before the first update, then after every
+    CHECK_EVERY-th update and after the last one. The run converges at the
+    first check whose loss cur, against the previous check's prev over the
+    steps updates between them, satisfies (prev - cur) / prev < tol * steps:
+    the mean relative decrease per update has fallen below tol.
 
     Rows or columns without a single observed entry receive no updates, so
     after the loop their factors are replaced by the average live embedding:
@@ -190,6 +205,7 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
         raise SpecError(f"max_iters must be >= 0, got {max_iters}")
     if not 0.0 <= tol < np.inf:  # written so that NaN fails it too
         raise SpecError(f"tol must be finite and >= 0, got {tol}")
+    max_iters = int(max_iters)  # so that MfTrace.iterations is a Python int
     x, mask = xm.values, xm.mask
     obs = mask > 0
     if not obs.any():
@@ -203,18 +219,22 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
     # the updates floor U and V at EPS_FLOOR, so FactorPair checks them once, at return
     init = init_factors(x, mask, h, seed)
     U, V = init.U, init.V
-    # xhat = U @ V of the current factors: the loss reads it, then the next
+    # xhat = U @ V of the current factors: a check reads it, then the next
     # update starts from it and reuses its memory for the update ratios
     xhat = U @ V
     losses = [_kl_sum(xv, xhat.ravel()[idx], xs, zero)]
     converged = False
-    for _ in range(max_iters):
-        # rows and columns without observed cells are dealt with after the loop
-        U, V, _, _ = _mu_update(xo, mask, U, V, xhat)
-        np.matmul(U, V, out=xhat)
+    iterations = 0
+    while iterations < max_iters:
+        steps = min(CHECK_EVERY, max_iters - iterations)
+        for _ in range(steps):
+            # rows and columns without observed cells are dealt with after the loop
+            U, V, _, _ = _mu_update(xo, mask, U, V, xhat)
+            np.matmul(U, V, out=xhat)
+        iterations += steps
         losses.append(_kl_sum(xv, xhat.ravel()[idx], xs, zero))
         prev, cur = losses[-2], losses[-1]
-        if prev <= 0 or (prev - cur) / prev < tol:
+        if prev <= 0 or (prev - cur) / prev < tol * steps:
             converged = True
             break
     dead_rows = mask.sum(axis=1) == 0
@@ -223,7 +243,7 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
         U[dead_rows] = U[~dead_rows].mean(axis=0)
     if dead_cols.any() and not dead_cols.all():
         V[:, dead_cols] = V[:, ~dead_cols].mean(axis=1, keepdims=True)
-    return FactorPair(U, V), MfTrace(losses, iterations=len(losses) - 1, converged=converged)
+    return FactorPair(U, V), MfTrace(losses, iterations=iterations, converged=converged)
 
 
 def mf_impute(factors: FactorPair) -> np.ndarray:

@@ -174,6 +174,12 @@ class TestHint:
         assert abs(frac_half - 0.1) < 0.02
         assert set(np.unique(hint)) <= {0.0, 0.5, 1.0}
 
+    @pytest.mark.parametrize("rate", ["0.5", None, True])
+    def test_non_real_rate_rejected(self, rate):
+        # these once surfaced as a stray TypeError, or passed as 1.0
+        with pytest.raises(SpecError, match="hint_rate"):
+            G.build_hint(np.ones((3, 3)), rate, K.make_rng(1))
+
     @pytest.mark.parametrize("rate", [0.0, 0.3, 0.9, 1.0])
     def test_same_bits_and_draws_as_the_bernoulli_form(self, rate):
         mask = gen_scattered(40, 30, 0.4, 5)

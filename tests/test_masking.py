@@ -104,6 +104,19 @@ class TestMultiblock:
         assert_block(mask, i0, j0, i1, j1)
         assert (mask == 0).sum() == (i1 - i0 + 1) * (j1 - j0 + 1)
 
+    @pytest.mark.parametrize("m, n, rate, k, seed", [(720, 64, 0.3, 4, 1), (30, 30, 0.3, 3, 0)])
+    def test_one_area_search_per_distinct_target(self, monkeypatch, m, n, rate, k, seed):
+        targets = []
+        search = M._closest_area_dims
+
+        def counted(m, n, target):
+            targets.append(target)
+            return search(m, n, target)
+
+        monkeypatch.setattr(M, "_closest_area_dims", counted)
+        M.gen_multiblock(m, n, rate, k, seed)
+        assert targets and len(targets) == len(set(targets))
+
     def test_placement_failure(self):
         # a 9x9 grid fits at most four disjoint 4x4 blocks
         with pytest.raises(SpecError, match="lower the rate"):

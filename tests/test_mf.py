@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -160,6 +161,7 @@ class TestPretrain:
         xm = apply_mask(*random_instance(5, 4, 0))
         factors, trace = mf.pretrain(xm, np.int64(2), max_iters=np.int32(3))
         assert factors.h == 2 and trace.iterations <= 3
+        assert type(trace.iterations) is int
 
     def test_empty_mask_rejected(self):
         xm = MaskedMatrix(np.zeros((3, 3)), np.zeros((3, 3)))
@@ -198,17 +200,24 @@ class TestPretrain:
 
 def reference_pretrain(xm, h, max_iters, tol, seed):
     """pretrain written as a loop over the public init_factors, mu_step and
-    kl_loss, which compute every product and mask afresh on each call."""
+    kl_loss, which compute every product and mask afresh on each call. The
+    loss is evaluated on pretrain's cadence: after every CHECK_EVERY-th
+    update and after the last one. Returns (factors, losses, converged,
+    updates run)."""
     x, mask = xm.values, xm.mask
     factors = mf.init_factors(x, mask, h, seed)
     losses = [mf.kl_loss(x, factors.U @ factors.V, mask)]
     converged = False
+    last_check = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for _ in range(max_iters):
+        for it in range(1, max_iters + 1):
             factors = mf.mu_step(x, mask, factors)
+            if it % mf.CHECK_EVERY and it < max_iters:
+                continue
             losses.append(mf.kl_loss(x, factors.U @ factors.V, mask))
-            if losses[-2] <= 0 or (losses[-2] - losses[-1]) / losses[-2] < tol:
+            steps, last_check = it - last_check, it
+            if losses[-2] <= 0 or (losses[-2] - losses[-1]) / losses[-2] < tol * steps:
                 converged = True
                 break
     dead_rows = mask.sum(axis=1) == 0
@@ -217,7 +226,7 @@ def reference_pretrain(xm, h, max_iters, tol, seed):
         factors.U[dead_rows] = factors.U[~dead_rows].mean(axis=0)
     if dead_cols.any():
         factors.V[:, dead_cols] = factors.V[:, ~dead_cols].mean(axis=1, keepdims=True)
-    return factors, losses, converged
+    return factors, losses, converged, last_check
 
 
 def bit_exact_case(name):
@@ -239,28 +248,77 @@ def bit_exact_case(name):
     return apply_mask(x, mask), h, max_iters, tol
 
 
+BIT_EXACT_CASES = ["scattered", "block", "dead_row", "dead_col", "observed_zeros", "early_stop", "tiny"]
+
+
+def plain_steps(xm, h, updates, seed):
+    """init_factors followed by `updates` plain mu_step calls."""
+    factors = mf.init_factors(xm.values, xm.mask, h, seed)
+    for _ in range(updates):
+        factors = mf.mu_step(xm.values, xm.mask, factors)
+    return factors
+
+
 class TestPretrainBitExact:
-    @pytest.mark.parametrize(
-        "name", ["scattered", "block", "dead_row", "dead_col", "observed_zeros", "early_stop", "tiny"]
-    )
+    @pytest.mark.parametrize("name", BIT_EXACT_CASES)
     def test_matches_public_step_loop(self, name):
         xm, h, max_iters, tol = bit_exact_case(name)
         factors, trace = mf.pretrain(xm, h, max_iters=max_iters, tol=tol, seed=5)
-        ref, losses, converged = reference_pretrain(xm, h, max_iters, tol, seed=5)
+        ref, losses, converged, updates = reference_pretrain(xm, h, max_iters, tol, seed=5)
         assert np.array_equal(factors.U, ref.U) and np.array_equal(factors.V, ref.V)
         assert trace.losses == losses
         assert trace.converged == converged
-        assert trace.iterations == len(losses) - 1
+        assert trace.iterations == updates
         if name == "early_stop":
             assert trace.converged and trace.iterations < max_iters
         if name == "observed_zeros":
             assert np.any((xm.values == 0) & (xm.mask > 0))
+
+    @pytest.mark.parametrize("name", [c for c in BIT_EXACT_CASES if not c.startswith("dead_")])
+    def test_factors_are_the_plain_updates_whatever_the_stop(self, name):
+        xm, h, max_iters, tol = bit_exact_case(name)
+        assert xm.mask.any(axis=1).all() and xm.mask.any(axis=0).all()
+        factors, trace = mf.pretrain(xm, h, max_iters=max_iters, tol=tol, seed=5)
+        plain = plain_steps(xm, h, trace.iterations, seed=5)
+        assert np.array_equal(factors.U, plain.U) and np.array_equal(factors.V, plain.V)
+
+    @pytest.mark.parametrize("name", BIT_EXACT_CASES)
+    def test_one_loss_per_check_the_last_of_the_returned_factors(self, name):
+        xm, h, max_iters, tol = bit_exact_case(name)
+        factors, trace = mf.pretrain(xm, h, max_iters=max_iters, tol=tol, seed=5)
+        assert len(trace.losses) == 1 + math.ceil(trace.iterations / mf.CHECK_EVERY)
+        assert trace.losses[-1] == mf.kl_loss(xm.values, factors.U @ factors.V, xm.mask)
+
+    def test_partial_final_window_is_checked(self):
+        xm, h, _, _ = bit_exact_case("scattered")
+        factors, trace = mf.pretrain(xm, h, max_iters=23, tol=0.0, seed=5)
+        assert trace.iterations == 23 and not trace.converged
+        assert len(trace.losses) == 4
+        plain = plain_steps(xm, h, 23, seed=5)
+        assert np.array_equal(factors.U, plain.U) and np.array_equal(factors.V, plain.V)
+        assert trace.losses[-1] == mf.kl_loss(xm.values, plain.U @ plain.V, xm.mask)
+        # the full windows before it are the checks of a 20-update run
+        _, trace20 = mf.pretrain(xm, h, max_iters=20, tol=0.0, seed=5)
+        assert trace.losses[:3] == trace20.losses
+
+    def test_large_tol_stops_at_the_first_check(self):
+        xm, h, _, _ = bit_exact_case("scattered")
+        _, trace = mf.pretrain(xm, h, max_iters=500, tol=1.0, seed=5)
+        assert trace.converged
+        assert trace.iterations == mf.CHECK_EVERY
+        assert len(trace.losses) == 2
 
 
 class TestImputeAndIO:
     def test_hand_product(self):
         f = mf.FactorPair(np.array([[1.0], [2.0]]), np.array([[3.0, 4.0]]))
         assert np.array_equal(mf.mf_impute(f), [[3.0, 4.0], [6.0, 8.0]])
+
+    @pytest.mark.parametrize("h", [2.5, "2"])
+    def test_non_integer_rank_rejected_by_init_factors(self, h):
+        # these once surfaced as a stray TypeError
+        with pytest.raises(SpecError, match="h must be an integer"):
+            mf.init_factors(np.ones((3, 3)), np.ones((3, 3)), h, 0)
 
     def test_zero_rank_rejected(self):
         with pytest.raises(SpecError):
