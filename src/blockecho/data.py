@@ -28,6 +28,8 @@ from .metrics import wmape
 SYNTHETIC_KINDS = ("lowrank_poisson", "periodic_traffic", "burst_epidemic")
 
 DAY_PERIOD = 24  # rows per synthetic "day"
+# numpy's largest Poisson rate: the int64 maximum less ten standard deviations
+POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 @dataclass
@@ -85,6 +87,15 @@ def _default_labels(m, n):
     return [f"t{i:04d}" for i in range(m)], [f"c{j:03d}" for j in range(n)]
 
 
+def _jitter(x, noise, rng):
+    """x * (1 + noise * standard normal draws), or SpecError if that overflows."""
+    try:
+        with np.errstate(over="raise"):
+            return x * (1.0 + noise * rng.standard_normal(x.shape))
+    except FloatingPointError:
+        raise SpecError(f"noise level {noise} overflows the multiplicative jitter") from None
+
+
 def gen_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic nonnegative synthetic matrix for the requested regime."""
     factor_rng, shape_rng, noise_rng = spawn_rngs(spec.seed, 3)
@@ -97,7 +108,14 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
         x = base
         if spec.noise > 0:
             # Poisson draws at rate base/noise, scaled back: mean-preserving jitter
-            x = noise_rng.poisson(base / spec.noise) * spec.noise
+            with np.errstate(over="ignore"):  # an infinite rate fails the check below
+                lam = base / spec.noise
+            if not lam.max() <= POISSON_LAM_MAX:
+                raise SpecError(
+                    f"noise level {spec.noise} is too small: Poisson rates base/noise "
+                    f"would pass {POISSON_LAM_MAX:.4g}"
+                )
+            x = noise_rng.poisson(lam) * spec.noise
     elif spec.kind == "periodic_traffic":
         phase = shape_rng.uniform(0.0, 2.0 * np.pi, size=n)
         hours = 2.0 * np.pi * np.arange(m)[:, None] / DAY_PERIOD
@@ -106,7 +124,7 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
         load = base * cycle
         x = 2.0 / (1.0 + np.exp(-load / (0.7 * np.mean(load)))) - 1.0
         if spec.noise > 0:
-            x = x * (1.0 + spec.noise * noise_rng.standard_normal((m, n)))
+            x = _jitter(x, spec.noise, noise_rng)
     else:  # burst_epidemic
         t = np.arange(m, dtype=float)
         curves = np.empty((m, r))
@@ -123,7 +141,7 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
             j = int(shape_rng.integers(n))
             x[i0 : i0 + span, j] *= shape_rng.uniform(2.0, 5.0)
         if spec.noise > 0:
-            x = x * (1.0 + spec.noise * noise_rng.standard_normal((m, n)))
+            x = _jitter(x, spec.noise, noise_rng)
 
     x = np.maximum(x, 0.0)
     rows, cols = _default_labels(m, n)

@@ -2,9 +2,8 @@
 
 Matrices are float64 numpy arrays, batch-major at the API: one row per
 sample. On top of them this module provides small fully connected networks
-with exact reverse-mode gradients, an Adam optimizer, a finite-difference
-gradient oracle that is independent of the analytic backward pass, and
-seedable PCG64 random streams.
+with exact reverse-mode gradients, an Adam optimizer and seedable PCG64
+random streams.
 
 Inside a network pass the activations are held feature-major, as
 (features, batch), so bias adds and activations sweep the long batch axis
@@ -281,39 +280,6 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
     return params
 
 
-def fd_gradient(f, arrays: dict, step: float = 1e-5) -> dict:
-    """Central finite differences of scalar f() w.r.t. every entry of arrays.
-
-    f must read the given arrays by reference; this is the independent
-    oracle used to verify net_backward and the composite training losses.
-    """
-    out = {}
-    for name, a in arrays.items():
-        g = np.zeros_like(a)
-        flat = a.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = f()
-            flat[i] = orig - step
-            lo = f()
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * step)
-        out[name] = g
-    return out
-
-
-def max_rel_error(analytic: dict, numeric: dict, floor: float = 1e-3) -> float:
-    """Largest |a-n| / max(|a|, |n|, floor) over all parameter entries."""
-    worst = 0.0
-    for name, a in analytic.items():
-        n = numeric[name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Random streams (PCG64 behind numpy's Generator).
 
@@ -348,11 +314,20 @@ def spawn_rngs(seed, n: int) -> list:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(_seed(seed)).spawn(n)]
 
 
+def _require_dims(rows, cols):
+    require_int(rows=rows, cols=cols)
+    if rows < 0 or cols < 0:
+        raise SpecError(f"draw size {rows}x{cols} is negative")
+
+
 def uniform(rng, rows, cols, low=0.0, high=1.0) -> np.ndarray:
+    _require_dims(rows, cols)
     return rng.uniform(low, high, size=(rows, cols))
 
 
 def bernoulli(rng, rows, cols, p) -> np.ndarray:
+    _require_dims(rows, cols)
+    require_real(p=p)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"bernoulli probability {p} outside [0, 1]")
     return (rng.random((rows, cols)) < p).astype(np.float64)

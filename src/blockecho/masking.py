@@ -75,18 +75,39 @@ def _check_rate(rate, **ints):
         raise SpecError(f"rate must lie in (0, 1), got {rate}")
 
 
+def _check_args(m, n, rate, **ints):
+    """_check_rate, plus SpecError unless m x n has at least one cell."""
+    _check_rate(rate, m=m, n=n, **ints)
+    if m < 1 or n < 1:
+        raise SpecError(f"matrix size {m}x{n} is empty")
+
+
+def _lowest(scores, target):
+    """True at the target lowest scores, 0 <= target <= scores.size.
+
+    Among equal scores the lower flat index wins, so the True cells are those
+    of np.argsort(scores, axis=None, kind="stable")[:target], found in linear
+    time: every score up to the target-th smallest, less the last ties.
+    """
+    if target == 0:
+        return np.zeros(scores.shape, dtype=bool)
+    cut = np.partition(scores, target - 1, axis=None)[target - 1]
+    chosen = scores <= cut
+    extra = np.count_nonzero(chosen) - target
+    if extra:
+        ties = np.flatnonzero(scores == cut)
+        chosen.reshape(-1)[ties[ties.size - extra :]] = False
+    return chosen
+
+
 def gen_scattered(m, n, rate, seed) -> np.ndarray:
-    """Exactly round(rate*m*n) missing cells, placed by ranking a seeded
-    random matrix."""
-    _check_rate(rate, m=m, n=n)
+    """Exactly round(rate*m*n) missing cells: those with the lowest scores in
+    a seeded random m x n matrix, the lower flat index winning a tie."""
+    _check_args(m, n, rate)
     target = round(rate * m * n)
     if target >= m * n:
         raise SpecError(f"rate {rate} would blank the whole {m}x{n} matrix")
-    scores = make_rng(seed).random((m, n))
-    order = np.argsort(scores, axis=None, kind="stable")
-    mask = np.ones(m * n)
-    mask[order[:target]] = 0.0
-    return mask.reshape(m, n)
+    return np.where(_lowest(make_rng(seed).random((m, n)), target), 0.0, 1.0)
 
 
 def _closest_area_dims(m, n, target):
@@ -112,7 +133,7 @@ def _sample_rect(m, n, pairs, rng):
 def gen_uniblock(m, n, rate, seed) -> np.ndarray:
     """One contiguous missing rectangle with dims >= 4, area as close as
     possible to round(rate*m*n)."""
-    _check_rate(rate, m=m, n=n)
+    _check_args(m, n, rate)
     if m < MIN_BLOCK or n < MIN_BLOCK:
         raise SpecError(
             f"no feasible block: need at least {MIN_BLOCK}x{MIN_BLOCK}, matrix is {m}x{n}"
@@ -170,7 +191,7 @@ def _place_blocks(m, n, rate, k, seed, attempts=200, placements=60):
 
 def gen_multiblock(m, n, rate, k, seed) -> np.ndarray:
     """k disjoint missing rectangles, each >= 4x4, total within 5% of target."""
-    _check_rate(rate, m=m, n=n, k=k)
+    _check_args(m, n, rate, k=k)
     mask = np.ones((m, n))
     for i0, j0, h, w in _place_blocks(m, n, rate, k, seed):
         mask[i0 : i0 + h, j0 : j0 + w] = 0.0

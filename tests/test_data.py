@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockecho import data as D
+from blockecho import kernel as K
 from blockecho.errors import ParseError, SpecError, ValidationError
 from blockecho.masking import gen_uniblock
 
@@ -105,6 +106,25 @@ class TestSynthetic:
         day = np.corrcoef(col[:-24], col[24:])[0, 1]
         half = np.corrcoef(col[:-12], col[12:])[0, 1]
         assert day > 0.8 and day > half
+
+    @pytest.mark.parametrize("kind, noise", [
+        ("lowrank_poisson", 1e-30),
+        ("lowrank_poisson", 1e-300),
+        ("lowrank_poisson", 5e-324),
+        ("periodic_traffic", 1e308),
+        ("burst_epidemic", 1e308),
+    ])
+    def test_extreme_noise_names_itself(self, kind, noise):
+        # once numpy's "lam value too large" ValueError, or an overflow warning
+        spec = D.SyntheticSpec(kind, 24, 6, rank=2, noise=noise, seed=0)
+        with pytest.raises(SpecError, match="^noise level"):
+            D.gen_synthetic(spec)
+
+    def test_poisson_noise_draws(self):
+        spec = D.SyntheticSpec("lowrank_poisson", 30, 8, rank=2, noise=0.5, seed=4)
+        factor_rng, _, noise_rng = K.spawn_rngs(4, 3)
+        base = factor_rng.uniform(0.5, 1.5, (30, 2)) @ factor_rng.uniform(0.5, 1.5, (2, 8))
+        assert np.array_equal(D.gen_synthetic(spec).values, noise_rng.poisson(base / 0.5) * 0.5)
 
     def test_infeasible_rank(self):
         with pytest.raises(SpecError):

@@ -6,6 +6,7 @@ import pytest
 from blockecho import data, gan, masking, mf
 from blockecho import kernel as K
 from blockecho.errors import ShapeError, SpecError, TrainingError, ValidationError
+from oracles import fd_gradient, max_rel_error
 
 
 def small_net(rng, sizes=(3, 4, 2), acts=("relu", "sigmoid")):
@@ -84,8 +85,8 @@ class TestBackward:
             o, _ = K.net_forward(net, x)
             return float(np.sum(w * o))
 
-        numeric = K.fd_gradient(loss, params)
-        assert K.max_rel_error(analytic, numeric) < 1e-4
+        numeric = fd_gradient(loss, params)
+        assert max_rel_error(analytic, numeric) < 1e-4
 
 
 def two_branch_sigmoid(z):
@@ -404,6 +405,27 @@ class TestRng:
     def test_uniform_mean(self):
         vals = K.uniform(K.make_rng(11), 100, 100)
         assert abs(vals.mean() - 0.5) < 0.02
+
+    def test_bernoulli_non_real_probability_names_itself(self):
+        # once a stray TypeError
+        with pytest.raises(SpecError, match="^p must be a real number"):
+            K.bernoulli(K.make_rng(0), 2, 2, "0.5")
+
+    @pytest.mark.parametrize("draw", [K.uniform, lambda rng, r, c: K.bernoulli(rng, r, c, 0.5)],
+                             ids=["uniform", "bernoulli"])
+    @pytest.mark.parametrize("rows, cols, match", [
+        (-1, 2, "^draw size -1x2 is negative"),
+        (2, -3, "^draw size 2x-3 is negative"),
+        (2.5, 2, "^rows must be an integer"),
+        (2, "3", "^cols must be an integer"),
+    ])
+    def test_draw_rejects_bad_size(self, draw, rows, cols, match):
+        # uniform(rng, -1, 2) once surfaced as numpy's ValueError
+        with pytest.raises(SpecError, match=match):
+            draw(K.make_rng(0), rows, cols)
+
+    def test_empty_draw_allowed(self):
+        assert K.uniform(K.make_rng(0), 0, 3).shape == (0, 3)
 
     def test_spawned_streams_differ(self):
         r1, r2 = K.spawn_rngs(3, 2)

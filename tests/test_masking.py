@@ -3,6 +3,7 @@ import pytest
 
 from blockecho import masking as M
 from blockecho.errors import ShapeError, SpecError, ValidationError
+from blockecho.kernel import make_rng
 
 
 def block_bbox(mask):
@@ -44,6 +45,62 @@ class TestScattered:
     def test_rate_blanking_everything(self):
         with pytest.raises(SpecError):
             M.gen_scattered(2, 2, 0.9, 0)  # rounds to all 4 cells
+
+
+def stable_argsort_mask(m, n, rate, seed):
+    """gen_scattered as written with a full stable sort of the scores."""
+    target = round(rate * m * n)
+    scores = make_rng(seed).random((m, n))
+    order = np.argsort(scores, axis=None, kind="stable")
+    mask = np.ones(m * n)
+    mask[order[:target]] = 0.0
+    return mask.reshape(m, n)
+
+
+class TestScatteredSelection:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (48, 16), (720, 64)])
+    def test_matches_stable_argsort(self, shape):
+        m, n = shape
+        for rate in (0.004, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            if round(rate * m * n) >= m * n:
+                continue  # rejected, see test_rate_blanking_everything
+            for seed in range(5):
+                expected = stable_argsort_mask(m, n, rate, seed)
+                assert np.array_equal(M.gen_scattered(m, n, rate, seed), expected)
+
+    @pytest.mark.parametrize("m, n, target", [
+        (1, 1, 0), (3, 2, 0), (3, 2, 5), (48, 16, 0), (48, 16, 767), (720, 64, 46079),
+    ])
+    def test_extreme_targets_match_stable_argsort(self, m, n, target):
+        rate = target / (m * n) if target else 0.4 / (m * n)
+        assert round(rate * m * n) == target
+        for seed in range(3):
+            mask = M.gen_scattered(m, n, rate, seed)
+            assert (mask == 0).sum() == target
+            assert np.array_equal(mask, stable_argsort_mask(m, n, rate, seed))
+
+    def test_no_target_skips_the_partition(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("np.partition called")
+
+        monkeypatch.setattr(np, "partition", fail)
+        assert np.all(M.gen_scattered(10, 10, 0.004, 0) == 1.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ties_go_to_the_lower_flat_index(self, seed):
+        scores = np.random.default_rng(seed).integers(0, 4, 200).astype(float)
+        order = np.argsort(scores, kind="stable")
+        for target in range(201):
+            chosen = M._lowest(scores, target)
+            assert np.array_equal(np.flatnonzero(chosen), np.sort(order[:target]))
+
+    def test_ties_in_a_matrix(self):
+        scores = np.random.default_rng(7).integers(0, 3, (12, 5)).astype(float)
+        order = np.argsort(scores, axis=None, kind="stable")
+        for target in range(61):
+            chosen = M._lowest(scores, target)
+            assert chosen.shape == scores.shape
+            assert np.array_equal(np.flatnonzero(chosen), np.sort(order[:target]))
 
 
 class TestUniblock:
@@ -181,6 +238,23 @@ class TestMaskSpecAndIO:
     def test_malformed_argument_names_itself(self, make, field):
         # each of these once surfaced as a stray TypeError
         with pytest.raises(SpecError, match=f"^{field} must be"):
+            make()
+
+    @pytest.mark.parametrize("make, size", [
+        (lambda: M.gen_scattered(-1, -5, 0.3, 0), "-1x-5"),
+        (lambda: M.gen_scattered(-4, -4, 0.5, 0), "-4x-4"),
+        (lambda: M.gen_scattered(0, 0, 0.3, 0), "0x0"),
+        (lambda: M.gen_scattered(-2, 3, 0.5, 0), "-2x3"),
+        (lambda: M.gen_uniblock(0, 5, 0.5, 0), "0x5"),
+        (lambda: M.gen_multiblock(-8, -8, 0.3, 2, 0), "-8x-8"),
+    ], ids=[
+        "scattered-negative", "scattered-negative-square", "scattered-zero",
+        "scattered-negative-rows", "uniblock-zero-rows", "multiblock-negative",
+    ])
+    def test_empty_size_names_itself(self, make, size):
+        # the negative sizes once surfaced as numpy's "negative dimensions"
+        # ValueError, the others as a SpecError about blanking the matrix
+        with pytest.raises(SpecError, match=f"^matrix size {size} is empty"):
             make()
 
     def test_generate_dispatch(self):
