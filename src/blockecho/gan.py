@@ -7,12 +7,6 @@ and the rank h alone, with one relu hidden layer and a sigmoid output:
   noise) to a row embedding: 2n+h -> n -> h;
 * a trainable column embedding V (h x n), warm-started from the
   pre-trained factorization;
-* a completion head, a shared scalar network 1 -> HEAD_KNOTS -> 1 applied
-  entrywise to U @ V, so the low-rank structure is kept while mild
-  nonlinearities become learnable. It starts close to the identity on
-  [0, 1] (see init_head), and its sigmoid output keeps every estimate in
-  [0, 1] even where the factorization blows up. The bare product U @ V is
-  never the estimate;
 * two discriminators: a row-level one (D1, h -> h -> 1) that tells
   generator embeddings from pre-trained factorization embeddings (mixed
   row-wise by a random 0/1 vector), and an element-level one (D2,
@@ -20,6 +14,11 @@ and the rank h alone, with one relu hidden layer and a sigmoid output:
   mask with a fraction 1 - HINT_RATE of entries blanked to 1/2, scores
   each cell as observed or imputed. Both always take part unless
   alpha = 1.
+
+The estimate is U @ V clipped entrywise to [EPS_NORM, 1], the range of
+normalized data, by a fixed completion head (see init_head): the low-rank
+structure passes through unchanged and a factorization that blows up is
+capped at 1. The head has no trainable weights.
 
 Training alternates discriminator ascent on their log-likelihood
 objectives (_d_step) with generator descent on
@@ -32,9 +31,9 @@ its exact reverse-mode gradient once: each discriminator term's forward,
 loss and backward side by side, then the KL term, then the backward passes
 of the head and G; the test suite checks it against central finite
 differences. All three optimizers are Adam at the one learning rate LR.
-The final imputation runs from a bias-corrected EMA_DECAY average of the
-generator-side weights, batch_rows rows at a time: of its arrays only the
-noise draw and the imputed matrix have a row per data row.
+The final imputation runs from the weights the last Adam step wrote,
+batch_rows rows at a time: of its arrays only the noise draw and the
+imputed matrix have a row per data row.
 """
 
 import time
@@ -61,17 +60,15 @@ from .kernel import (
     uniform,
 )
 from .masking import MaskedMatrix
+from .metrics import EPS_NORM
 from .mf import DEFAULT_TOL, EPS_FLOOR, FactorPair, kl_loss
 
 LOG_EPS = 1e-7     # clamp inside every log term
 NOISE_HIGH = 0.01  # generator noise is uniform in [0, NOISE_HIGH]
 
-ACTS = ("relu", "sigmoid")  # every net: one relu hidden layer, a sigmoid output
-HEAD_KNOTS = 8     # relu knots in the completion head's hidden layer
-HEAD_CLIP = 0.01   # the completion head starts as logit(clip(p, HEAD_CLIP, 1 - HEAD_CLIP))
+ACTS = ("relu", "sigmoid")  # every trained net: one relu hidden layer, a sigmoid output
 HINT_RATE = 0.9    # share of D2's hint cells that show the true mask entry
-LR = 1e-3          # Adam learning rate of G (with head and V), D1 and D2
-EMA_DECAY = 0.998  # decay of the generator-side weight average
+LR = 1e-3          # Adam learning rate of G (with V), D1 and D2
 
 
 @dataclass(frozen=True)
@@ -82,10 +79,9 @@ class BlockEchoConfig:
     min(16, ceil(min(m, n)/4)) and batch_rows to min(m, 128). The
     architecture is derived from the data, not set: resolved() records it
     in the non-init *_layers fields (see the module docstring). The hint
-    rate, the learning rate, the weight average's decay and pretrain_tol
-    (read by mf.pretrain's callers) are constants fixed at the values every
-    run used: a setting no run changes only keeps an untested code path
-    alive.
+    rate, the learning rate and pretrain_tol (read by mf.pretrain's
+    callers) are constants fixed at the values every run used: a setting
+    no run changes only keeps an untested code path alive.
     """
 
     h: int | None = None
@@ -121,7 +117,7 @@ class BlockEchoConfig:
         out = replace(self, h=h, alpha=alpha, batch_rows=int(batch), iters=int(self.iters),
                       pretrain_iters=int(self.pretrain_iters), seed=int(self.seed))
         for name, sizes in (("g_layers", (2 * n + h, n, h)), ("d1_layers", (h, h, 1)),
-                            ("d2_layers", (2 * n, n, n)), ("mcl_layers", (1, HEAD_KNOTS, 1))):
+                            ("d2_layers", (2 * n, n, n)), ("mcl_layers", (1, 2, 1))):
             object.__setattr__(out, name, sizes)
         return out
 
@@ -191,7 +187,8 @@ def _assemble(values, mask, xhat):
 
 def _head(model, u):
     """(estimate, head cache) of generator embeddings u, unchecked: the
-    estimate is the completion head applied entrywise to u @ V."""
+    estimate is the completion head, clip to [EPS_NORM, 1], applied
+    entrywise to u @ V."""
     p = u @ model.V
     out, cache = net_forward(model.mcl, p.reshape(-1, 1))
     return out.reshape(p.shape), cache
@@ -203,7 +200,6 @@ def _head(model, u):
 
 def _g_params(model):
     params = net_params(model.generator, "g")
-    params.update(net_params(model.mcl, "mcl"))
     params["v"] = model.V
     return params
 
@@ -256,12 +252,11 @@ def _g_objective(model, x, mask, z, hint, y, u_p, alpha):
         recon = kl_loss(x, xhat_c, mask)
         d_xhat += alpha * np.where((mask > 0) & (xhat >= LOG_EPS), 1.0 - x / xhat_c, 0.0)
 
-    mcl_grads, d_flat = net_backward(model.mcl, mcl_cache, d_xhat.reshape(-1, 1))
+    _, d_flat = net_backward(model.mcl, mcl_cache, d_xhat.reshape(-1, 1), params=False)
     d_p = d_flat.reshape(xhat.shape)
     d_u += d_p @ model.V.T
     g_grads, _ = net_backward(model.generator, g_cache, d_u, inputs=False)
     grads = net_grads_dict(g_grads, "g")
-    grads.update(net_grads_dict(mcl_grads, "mcl"))
     grads["v"] = u.T @ d_p
     total = (1.0 - alpha) * (adv1 + adv2) + alpha * recon
     return total, recon, grads
@@ -284,22 +279,17 @@ def _d_step(net, opt, prefix, inp, target):
 
 
 def init_head() -> DenseNet:
-    """A completion head 1 -> HEAD_KNOTS -> 1 that starts close to the
-    identity on [0, 1].
+    """The fixed completion head 1 -> 2 -> 1: EPS_NORM + relu(p - EPS_NORM)
+    - relu(p - 1), which is clip(p, EPS_NORM, 1).
 
-    The hidden layer holds relu knots at 0, 1/w, ..., (w-1)/w for
-    w = HEAD_KNOTS, each reading p. The sigmoid output layer sums those
-    hinges so that its logit interpolates logit(p) linearly between the
-    knots and 1, with p clipped to [HEAD_CLIP, 1 - HEAD_CLIP] so the ends
-    stay finite. Deterministic: no random draws.
+    It equals np.clip bit for bit for every p <= 4; above that the two
+    hinges cancel only to within rounding, a few ulp(p). Its input gradient
+    passes through: 1 strictly inside the range, 0 outside it. No optimizer
+    holds its weights.
     """
-    knots = np.arange(HEAD_KNOTS + 1) / HEAD_KNOTS
-    q = np.clip(knots, HEAD_CLIP, 1.0 - HEAD_CLIP)
-    logit = np.log(q / (1.0 - q))
-    slopes = np.diff(logit) / np.diff(knots)
-    weights = [np.ones((1, HEAD_KNOTS)), np.diff(slopes, prepend=0.0).reshape(-1, 1)]
-    biases = [-np.arange(HEAD_KNOTS).reshape(1, -1) / HEAD_KNOTS, logit[:1].reshape(1, 1)]
-    return DenseNet(weights, biases, list(ACTS))
+    return DenseNet([np.ones((1, 2)), np.array([[1.0], [-1.0]])],
+                    [np.array([[-EPS_NORM, -1.0]]), np.array([[EPS_NORM]])],
+                    ["relu", "identity"])
 
 
 def build_model(cfg: BlockEchoConfig, pre: FactorPair, rng) -> EchoModel:
@@ -324,11 +314,12 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
 
     Per iteration: sample batch rows, ascend the element discriminator on
     the assembled matrix and its hint, ascend the row discriminator on the
-    mixed embeddings, then descend the generator (with the completion head
-    and V) on the combined objective. Afterwards a deterministic forward
-    pass over every row, with one fresh noise draw for the whole matrix,
-    produces the imputation; it runs in chunks of batch_rows rows, so its
-    temporaries are batch-sized.
+    mixed embeddings, then descend the generator (with V) on the combined
+    objective; the completion head stays fixed. Afterwards a deterministic
+    forward pass over every row, from the weights the last Adam step wrote
+    and with one fresh noise draw for the whole matrix, produces the
+    imputation; it runs in chunks of batch_rows rows, so its temporaries
+    are batch-sized.
     The factors pre (mf.pretrain at rank cfg.h) anchor D1 and warm-start V.
 
     Returns (EchoModel, ImputationResult); deterministic per seed.
@@ -360,14 +351,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     init_rng, batch_rng, noise_rng, hint_rng, y_rng = spawn_rngs(cfg.seed, 5)
     model = build_model(cfg, pre, init_rng)
     trace = {"d1": [], "d2": [], "mf_term": [], "g_total": []}
-    # Polyak average of the generator-side weights g_params (the arrays
-    # themselves, which Adam updates in place): the final imputation pass
-    # runs from these, which removes the snapshot noise of adversarial steps.
-    # It starts at zero and is divided by 1 - decay**iters at the end (the
-    # bias correction of Adam), so it weighs only trained weights and none
-    # of the initialization.
-    g_params = _g_params(model)
-    ema = {k: np.zeros_like(v) for k, v in g_params.items()}
+    g_params = _g_params(model)  # the arrays themselves, which Adam updates in place
 
     for it in range(cfg.iters):
         rows = np.sort(batch_rng.choice(m, size=cfg.batch_rows, replace=False))
@@ -391,9 +375,6 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
 
         g_total, recon, grads = _g_objective(model, xb, mb, zb, hb, yb, upb, cfg.alpha)
         adam_step(model.opt_g, g_params, grads)
-        for k, v in g_params.items():
-            ema[k] *= EMA_DECAY
-            ema[k] += (1.0 - EMA_DECAY) * v
         trace["d1"].append(d1_val)
         trace["d2"].append(d2_val)
         trace["mf_term"].append(recon if cfg.alpha > 0.0 else float("nan"))
@@ -405,10 +386,6 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
                 f"g_total={_last_finite(trace['g_total'][:-1])}"
             )
 
-    if cfg.iters > 0:
-        correction = 1.0 - EMA_DECAY ** cfg.iters
-        for k, v in g_params.items():
-            v[:] = ema[k] / correction
     # one noise draw for the whole matrix, consumed batch_rows rows at a
     # time: rows are mapped independently, so only z_full and imputed have m
     # rows, and the head's (width, cells) temporaries stay batch-sized

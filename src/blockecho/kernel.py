@@ -280,9 +280,6 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
     return params
 
 
-# ---------------------------------------------------------------------------
-# Random streams (PCG64 behind numpy's Generator).
-
 def require_int(**values):
     """SpecError unless every value is a Python or numpy integer (bool is not)."""
     for name, value in values.items():
@@ -296,6 +293,9 @@ def require_real(**values):
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise SpecError(f"{name} must be a real number, got {value!r}")
 
+
+# ---------------------------------------------------------------------------
+# Random streams (PCG64 behind numpy's Generator).
 
 def _seed(seed) -> int:
     require_int(seed=seed)

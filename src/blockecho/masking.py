@@ -19,6 +19,8 @@ from .kernel import as_matrix, make_rng, require_int, require_real
 PATTERNS = ("scattered", "uniblock", "multiblock")
 MIN_BLOCK = 4  # minimum block height and width
 SENTINEL = 0.0
+PLACE_ATTEMPTS = 200  # fresh starts of gen_multiblock's block placement
+PLACE_TRIES = 60      # random positions tried per block within one start
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ def _rects_overlap(a, b):
     return ai < bi + bh and bi < ai + ah and aj < bj + bw and bj < aj + aw
 
 
-def _place_blocks(m, n, rate, k, seed, attempts=200, placements=60):
+def _place_blocks(m, n, rate, k, seed):
     """k disjoint rectangles totalling about rate*m*n cells, or SpecError."""
     if m < MIN_BLOCK or n < MIN_BLOCK:
         raise SpecError(f"no feasible block in a {m}x{n} matrix")
@@ -161,7 +163,7 @@ def _place_blocks(m, n, rate, k, seed, attempts=200, placements=60):
     target_total = round(rate * m * n)
     rng = make_rng(seed)
     dims = {}  # per-block target -> its _closest_area_dims, computed once
-    for _ in range(attempts):
+    for _ in range(PLACE_ATTEMPTS):
         rects = []
         remaining = target_total
         for b in range(k):
@@ -169,7 +171,7 @@ def _place_blocks(m, n, rate, k, seed, attempts=200, placements=60):
             if per_block not in dims:
                 dims[per_block] = _closest_area_dims(m, n, per_block)
             placed = False
-            for _ in range(placements):
+            for _ in range(PLACE_TRIES):
                 rect = _sample_rect(m, n, dims[per_block], rng)
                 if not any(_rects_overlap(rect, r) for r in rects):
                     rects.append(rect)
@@ -207,12 +209,15 @@ def generate_mask(spec: MaskSpec, m, n) -> np.ndarray:
 
 
 def apply_mask(x, mask) -> MaskedMatrix:
-    """Copy observed entries bit-exactly, put the sentinel elsewhere."""
+    """Copy observed entries bit-exactly, put the sentinel elsewhere.
+
+    MaskedMatrix checks that the mask is binary; the shape check comes
+    first, since np.where would broadcast mismatched shapes.
+    """
     x = as_matrix(x)
     mask = as_matrix(mask)
     if x.shape != mask.shape:
         raise ShapeError(f"data {x.shape} != mask {mask.shape}")
-    _check_binary(mask)
     values = np.where(mask > 0, x, SENTINEL)
     return MaskedMatrix(values, mask.copy())
 

@@ -4,7 +4,7 @@ import pytest
 from blockecho import data as D
 from blockecho import kernel as K
 from blockecho.errors import ParseError, SpecError, ValidationError
-from blockecho.masking import gen_uniblock
+from blockecho.masking import SENTINEL, gen_uniblock
 
 
 class TestLoadCsv:
@@ -82,6 +82,18 @@ class TestLoadCsv:
         assert ds.col_labels == ["s1", "s2"]
         assert ds.row_labels == ["r0", "r1"]
         assert np.array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_masked_blanks_empty_nan_and_inf_cells(self, tmp_path):
+        # the bridge from a loaded file to the imputer: every non-finite
+        # cell is missing and holds the sentinel, the rest are copied as is
+        p = tmp_path / "m.csv"
+        p.write_text("0.1,,2.5e-3\nnan,7,inf\n-3,1e300,-inf\n")
+        xm = D.load_csv(p).masked()
+        assert np.array_equal(xm.mask, [[1, 0, 1], [0, 1, 0], [1, 1, 0]])
+        assert np.all(xm.values[xm.mask == 0] == SENTINEL)
+        obs = xm.mask > 0
+        expected = np.array([0.1, 2.5e-3, 7.0, -3.0, 1e300])
+        assert np.array_equal(xm.values[obs].view(np.uint64), expected.view(np.uint64))
 
 
 class TestSynthetic:

@@ -10,7 +10,7 @@ from blockecho import kernel as K
 from blockecho import mf
 from blockecho.errors import SpecError, ValidationError
 from blockecho.masking import MaskedMatrix, apply_mask, gen_scattered, gen_uniblock
-from blockecho.metrics import normalize, rmse_missing
+from blockecho.metrics import EPS_NORM, normalize, rmse_missing
 from oracles import fd_gradient, max_rel_error
 
 
@@ -77,7 +77,7 @@ class TestConfig:
         assert cfg.g_layers == (2 * 50 + cfg.h, 50, cfg.h)
         assert cfg.d1_layers == (cfg.h, cfg.h, 1)
         assert cfg.d2_layers == (100, 50, 50)
-        assert cfg.mcl_layers == (1, G.HEAD_KNOTS, 1)
+        assert cfg.mcl_layers == (1, 2, 1)
 
     def test_settable_fields_are_what_a_run_sets(self):
         # the architecture follows from the data and pretrain_tol is a constant
@@ -236,6 +236,25 @@ class TestGeneratorAndMcl:
         assert np.max(np.abs(out - p)) < 0.025
         wide, _ = K.net_forward(model.mcl, np.linspace(-1.0, 3.0, 401).reshape(-1, 1))
         assert np.all((wide >= 0.0) & (wide <= 1.0))
+
+    def test_head_is_the_clip_to_the_normalized_range(self):
+        lo, hi = EPS_NORM, 1.0
+        edges = [np.nextafter(lo, -np.inf), lo, np.nextafter(lo, np.inf),
+                 np.nextafter(hi, -np.inf), hi, np.nextafter(hi, np.inf)]
+        p = np.concatenate([[-1.0, 0.0, 3.0], edges, np.linspace(-1.0, 3.0, 4001)])
+        head = G.init_head()
+        out, cache = K.net_forward(head, p.reshape(-1, 1))
+        assert np.array_equal(out.ravel(), np.clip(p, lo, hi))
+        assert np.all((out >= lo) & (out <= hi))
+        _, d_in = K.net_backward(head, cache, np.ones_like(out), params=False)
+        inside = (p > lo) & (p < hi)
+        outside = (p < lo) | (p > hi)
+        assert np.all(d_in.ravel()[inside] == 1.0)
+        assert np.all(d_in.ravel()[outside] == 0.0)
+        # above 4 the two hinges cancel only to within rounding of p
+        big = np.geomspace(4.0, 1e4, 1001)
+        top, _ = K.net_forward(head, big.reshape(-1, 1))
+        assert np.all(np.abs(top.ravel() - 1.0) <= 4 * np.spacing(big))
 
 
 class TestAssembleAndMix:
@@ -448,16 +467,14 @@ class TestTrain:
             assert len(result.loss_trace[key]) == 15
         assert np.all(np.isfinite(result.loss_trace["g_total"]))
 
-    def test_ema_holds_no_share_of_the_initialization(self, monkeypatch):
-        # after one step the bias-corrected average is exactly that step's
-        # weights, so it must impute as the run without averaging does
+    def test_head_is_not_trained(self):
         xm, _ = toy_instance(m=10, n=6, seed=9, missing=0.5)
         pre, _ = mf.pretrain(xm, 2, max_iters=30, seed=9)
-        cfg = G.BlockEchoConfig(h=2, iters=1, seed=9)
-        _, averaged = G.train(xm, pre, cfg)
-        monkeypatch.setattr(G, "EMA_DECAY", 0.0)
-        _, plain = G.train(xm, pre, cfg)
-        assert np.allclose(averaged.imputed, plain.imputed, rtol=1e-12, atol=1e-12)
+        model, _ = G.train(xm, pre, G.BlockEchoConfig(h=2, iters=20, seed=9))
+        fresh = G.init_head()
+        assert model.mcl.activations == fresh.activations
+        for a, b in zip(model.mcl.weights + model.mcl.biases, fresh.weights + fresh.biases):
+            assert np.array_equal(a, b)
 
     def test_inputs_validated_once_not_per_iteration(self, monkeypatch):
         # the loop slices checked inputs and calls the kernel directly; the
