@@ -7,14 +7,14 @@ and a saturating response), and epidemic-style matrices (smooth bumps plus
 sparse multiplicative bursts).
 
 The downstream task forecasts the next row of a fully observed matrix with
-a k-nearest-neighbor regressor over whole rows: find the k historical rows
-closest to the current one and average their successors. A deterministic
-forecaster keeps the imputation-quality comparison reproducible and
-dependency-free.
+a nearest-neighbor regressor over whole rows: find the KNN_K historical rows
+closest to the current one and average their successors. It forecasts the
+last max(1, t // 10) of the t rows, one step at a time. A deterministic
+forecaster with fixed settings keeps the imputation-quality comparison
+reproducible and dependency-free.
 """
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -30,6 +30,7 @@ SYNTHETIC_KINDS = ("lowrank_poisson", "periodic_traffic", "burst_epidemic")
 DAY_PERIOD = 24  # rows per synthetic "day"
 # numpy's largest Poisson rate: the int64 maximum less ten standard deviations
 POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+KNN_K = 5  # neighbors the downstream forecaster averages
 
 
 @dataclass
@@ -206,40 +207,33 @@ def load_csv(path, header=False, index=False) -> Dataset:
 # ---------------------------------------------------------------------------
 # Downstream forecasting.
 
-def forecast_next(history, k) -> np.ndarray:
-    """Predict the row after the last one: average the successors of the k
-    historical rows nearest (Euclidean) to the last row."""
+def forecast_next(history) -> np.ndarray:
+    """Predict the row after the last one: average the successors of the
+    KNN_K historical rows nearest (Euclidean) to the last row."""
     history = as_matrix(history)
-    require_int(k=k)
     t = history.shape[0]
-    if k < 1 or k >= t:
-        raise SpecError(f"k must lie in 1..{t - 1} for a history of {t} rows")
+    if t <= KNN_K:
+        raise SpecError(f"a history of {t} rows is too short: KNN_K = {KNN_K} needs {KNN_K + 1}")
     if not np.all(np.isfinite(history)):
         raise ValidationError("history must be fully observed; impute first")
     query = history[-1]
     candidates = history[:-1]
     dist = np.sqrt(np.sum((candidates - query) ** 2, axis=1))
-    nearest = np.argsort(dist, kind="stable")[:k]
+    nearest = np.argsort(dist, kind="stable")[:KNN_K]
     return history[nearest + 1].mean(axis=0, keepdims=True)
 
 
-def eval_downstream(original, variants, k=5, holdout=None) -> dict:
-    """Rolling one-step forecasts over the last `holdout` rows for every
-    variant matrix; the error of each is the WMAPE against the original's
-    actual rows. All variants share the identical forecaster settings,
-    recorded as a config hash in the report.
+def eval_downstream(original, variants) -> dict:
+    """Rolling one-step forecasts over the last max(1, t // 10) of the t rows
+    for every variant matrix; the error of each is the WMAPE against the
+    original's actual rows.
     """
     original = as_matrix(original)
-    t, n = original.shape
-    if holdout is None:
-        holdout = max(1, t // 10)
-    require_int(k=k, holdout=holdout)
-    if not 1 <= holdout < t - k:
-        raise SpecError(f"holdout {holdout} infeasible for {t} rows with k={k}")
-    report = {"k": int(k), "holdout": int(holdout), "wmape": {}}
-    digest = hashlib.sha256(f"knn:k={k}:holdout={holdout}:".encode())
-    digest.update(original.tobytes())
-    report["config_hash"] = digest.hexdigest()[:16]
+    t = original.shape[0]
+    holdout = max(1, t // 10)
+    if holdout >= t - KNN_K:
+        raise SpecError(f"holdout {holdout} infeasible for {t} rows with KNN_K = {KNN_K}")
+    report = {"wmape": {}}
     for name, matrix in variants:
         matrix = as_matrix(matrix)
         if matrix.shape != original.shape:
@@ -247,7 +241,7 @@ def eval_downstream(original, variants, k=5, holdout=None) -> dict:
         preds = []
         actuals = []
         for step in range(t - holdout, t):
-            preds.append(forecast_next(matrix[:step], k))
+            preds.append(forecast_next(matrix[:step]))
             actuals.append(original[step : step + 1])
         report["wmape"][name] = wmape(np.vstack(preds), np.vstack(actuals))
     return report

@@ -149,13 +149,11 @@ class ImputationResult:
     wall_time: float
 
 
-def build_hint(mask, hint_rate, rng) -> np.ndarray:
-    """Copy of the mask with entries blanked to 1/2 where B=0, P(B=1)=hint_rate."""
+def build_hint(mask, rng) -> np.ndarray:
+    """Copy of the mask with each entry kept with probability HINT_RATE and
+    otherwise blanked to 1/2."""
     mask = as_matrix(mask)
-    require_real(hint_rate=hint_rate)
-    if not 0.0 <= hint_rate <= 1.0:
-        raise SpecError(f"hint_rate must lie in [0, 1], got {hint_rate}")
-    return np.where(rng.random(mask.shape) < hint_rate, mask, 0.5)
+    return np.where(rng.random(mask.shape) < HINT_RATE, mask, 0.5)
 
 
 def mix_rows(u_p, u, y) -> np.ndarray:
@@ -248,9 +246,9 @@ def _g_objective(model, x, mask, z, hint, y, u_p, alpha):
         d_u += d_ud * fake
 
     if alpha > 0.0:
-        xhat_c = np.maximum(xhat, LOG_EPS)
-        recon = kl_loss(x, xhat_c, mask)
-        d_xhat += alpha * np.where((mask > 0) & (xhat >= LOG_EPS), 1.0 - x / xhat_c, 0.0)
+        # kl_loss and the division need xhat > 0: the head's floor is EPS_NORM
+        recon = kl_loss(x, xhat, mask)
+        d_xhat += alpha * np.where(mask > 0, 1.0 - x / xhat, 0.0)
 
     _, d_flat = net_backward(model.mcl, mcl_cache, d_xhat.reshape(-1, 1), params=False)
     d_p = d_flat.reshape(xhat.shape)
@@ -367,7 +365,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
         if cfg.alpha < 1.0:
             u, _ = net_forward(model.generator, np.hstack([xb, mb, zb]))
             xhat, _ = _head(model, u)
-            hb = build_hint(mb, HINT_RATE, hint_rng)
+            hb = build_hint(mb, hint_rng)
             xbar = np.hstack([_assemble(xb, mb, xhat), hb])
             d2_val = _d_step(model.d2, model.opt_d2, "d2", xbar, mb)
             yb = bernoulli(y_rng, cfg.batch_rows, 1, 0.5)

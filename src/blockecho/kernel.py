@@ -104,10 +104,6 @@ class DenseNet:
         return self.weights[0].shape[0]
 
     @property
-    def out_size(self):
-        return self.weights[-1].shape[1]
-
-    @property
     def sizes(self):
         return [self.in_size] + [w.shape[1] for w in self.weights]
 
@@ -142,7 +138,7 @@ class ForwardCache:
 def net_forward(net: DenseNet, x):
     """Forward pass of a (batch, in_size) batch; returns (output, cache).
 
-    Each row is mapped on its own; the output is C-contiguous (batch, out_size).
+    Each row is mapped on its own; the output is C-contiguous (batch, sizes[-1]).
     """
     x = as_matrix(x)
     if x.shape[1] != net.in_size:

@@ -5,7 +5,6 @@ column, since columns typically carry different units. Imputation error is
 the RMSE over the missing cells, sqrt(sum(err^2) / count).
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,7 +45,10 @@ class NormParams:
 def normalize(x, mask):
     """Map observed entries into [EPS_NORM, 1]; returns (matrix, NormParams).
 
-    Missing cells of the returned matrix hold the 0.0 sentinel.
+    Each column's range is taken over its observed cells. The observed
+    output is capped at 1: on subnormal data the affine map can round a
+    column maximum a few ulp above it. Missing cells of the returned matrix
+    hold the 0.0 sentinel.
     """
     x = as_matrix(x)
     mask = as_matrix(mask)
@@ -60,16 +62,13 @@ def normalize(x, mask):
     if not np.all(np.isfinite(x[obs])):
         raise ValidationError("observed entries must be finite")
 
-    xo = np.where(obs, x, np.nan)
-    counts = obs.sum(axis=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns handled below
-        col_min = np.nanmin(xo, axis=0)
-        col_max = np.nanmax(xo, axis=0)
-    gmin = float(np.min(x[obs]))
-    gmax = float(np.max(x[obs]))
-    degenerate = (counts == 0) | ~(col_max > col_min)
-    col_min = np.where(counts == 0, gmin, col_min)
+    # a column with no observed cells keeps min = inf and max = -inf
+    col_min = np.where(obs, x, np.inf).min(axis=0)
+    col_max = np.where(obs, x, -np.inf).max(axis=0)
+    gmin = float(col_min.min())
+    gmax = float(col_max.max())
+    degenerate = ~(col_max > col_min)
+    col_min = np.where(col_min == np.inf, gmin, col_min)
     # finite values can span more than float64 holds: such a span is
     # rejected below rather than left to warn and spread inf and NaN
     with np.errstate(over="ignore"):
@@ -83,10 +82,9 @@ def normalize(x, mask):
         )
 
     params = NormParams(col_min, span, degenerate)
-    # missing cells enter as NaN, which spreads without a warning, and
-    # whatever they held is never read
-    out = np.where(obs, params.transform(xo), 0.0)
-    return out, params
+    # missing cells enter as col_min, and whatever they held is never read
+    out = np.minimum(params.transform(np.where(obs, x, col_min)), 1.0)
+    return np.where(obs, out, 0.0), params
 
 
 class RmsePair(NamedTuple):

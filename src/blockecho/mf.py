@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecError, ValidationError
+from .errors import ShapeError, SpecError, ValidationError
 from .kernel import as_matrix, make_rng, require_int, require_real
 from .masking import MaskedMatrix
 
@@ -52,7 +52,7 @@ class FactorPair:
         self.U = as_matrix(self.U)
         self.V = as_matrix(self.V)
         if self.U.shape[1] != self.V.shape[0]:
-            raise SpecError(f"U is {self.U.shape}, V is {self.V.shape}: inner dims differ")
+            raise ShapeError(f"U is {self.U.shape}, V is {self.V.shape}: inner dims differ")
         if self.U.shape[1] < 1:
             raise SpecError("rank h must be at least 1")
         # written so that NaN fails it too
@@ -78,7 +78,7 @@ def kl_loss(x, xhat, mask) -> float:
     xhat = as_matrix(xhat)
     mask = as_matrix(mask)
     if not x.shape == xhat.shape == mask.shape:
-        raise SpecError(f"shape mismatch: x {x.shape}, xhat {xhat.shape}, mask {mask.shape}")
+        raise ShapeError(f"shape mismatch: x {x.shape}, xhat {xhat.shape}, mask {mask.shape}")
     obs = mask > 0
     xv = x[obs]
     # written so that NaN fails it too
@@ -129,6 +129,8 @@ def mu_step(x, mask, factors: FactorPair) -> FactorPair:
     x = as_matrix(x)
     mask = as_matrix(mask)
     U, V = factors.U, factors.V
+    if not x.shape == mask.shape == (U.shape[0], V.shape[1]):
+        raise ShapeError(f"data {x.shape}, mask {mask.shape}, factors {U.shape}/{V.shape} differ")
     xo = np.where(mask > 0, x, 0.0)
     U2, V2, live_u, live_v = _mu_update(xo, mask, U, V, U @ V)
     dead_rows = int(np.sum(~live_u.any(axis=1)))
@@ -167,6 +169,8 @@ def init_factors(x, mask, h, seed) -> FactorPair:
     mean, which puts the first update multipliers near 1."""
     x = as_matrix(x)
     mask = as_matrix(mask)
+    if x.shape != mask.shape:
+        raise ShapeError(f"data {x.shape} != mask {mask.shape}")
     require_int(h=h)
     if h < 1:
         raise SpecError(f"rank h must be at least 1, got {h}")

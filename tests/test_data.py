@@ -153,11 +153,8 @@ class TestSynthetic:
     (lambda: D.SyntheticSpec("lowrank_poisson", 10, 8, noise="a"), "noise"),
     (lambda: D.SyntheticSpec("lowrank_poisson", 10, 8, noise=np.nan), "noise"),
     (lambda: D.SyntheticSpec("lowrank_poisson", 10, 8, noise=np.inf), "noise"),
-    (lambda: D.forecast_next(np.ones((6, 2)), 2.5), "k"),
-    (lambda: D.eval_downstream(np.ones((20, 2)), [("o", np.ones((20, 2)))], holdout=2.5),
-     "holdout"),
 ], ids=[
-    "rank", "m", "noise-str", "noise-nan", "noise-inf", "forecast-k", "holdout",
+    "rank", "m", "noise-str", "noise-nan", "noise-inf",
 ])
 def test_malformed_argument_names_itself(make, field):
     # each of these once surfaced as a stray TypeError, or was accepted (NaN
@@ -168,54 +165,45 @@ def test_malformed_argument_names_itself(make, field):
 
 class TestForecast:
     def test_identical_rows(self):
-        hist = np.tile([1.0, 2.0, 3.0], (6, 1))
-        assert np.array_equal(D.forecast_next(hist, 2), [[1.0, 2.0, 3.0]])
+        hist = np.tile([1.0, 2.0, 3.0], (D.KNN_K + 1, 1))
+        assert np.array_equal(D.forecast_next(hist), [[1.0, 2.0, 3.0]])
 
     def test_exact_periodicity(self):
+        # 6 full periods leave KNN_K exact matches of the last row before it
         base = np.random.default_rng(1).random((5, 4))
-        hist = np.tile(base, (4, 1))[:-2]  # 18 rows, period 5
-        pred = D.forecast_next(hist, 1)
+        hist = np.tile(base, (6, 1))[:-2]  # 28 rows, period 5
+        pred = D.forecast_next(hist)
         true_next = base[(hist.shape[0]) % 5]
         assert np.allclose(pred, true_next)
 
     def test_k_all_rows_constant(self):
-        hist = np.full((7, 3), 2.5)
-        assert np.allclose(D.forecast_next(hist, 6), 2.5)
+        hist = np.full((D.KNN_K + 1, 3), 2.5)
+        assert np.allclose(D.forecast_next(hist), 2.5)
 
     def test_k_too_large(self):
-        with pytest.raises(SpecError):
-            D.forecast_next(np.ones((4, 2)), 4)
+        with pytest.raises(SpecError, match="too short"):
+            D.forecast_next(np.ones((D.KNN_K, 2)))
 
     def test_missing_rejected(self):
-        hist = np.ones((5, 2))
+        hist = np.ones((D.KNN_K + 1, 2))
         hist[1, 1] = np.nan
         with pytest.raises(ValidationError):
-            D.forecast_next(hist, 2)
+            D.forecast_next(hist)
 
 
 class TestDownstream:
     def test_original_is_reference(self):
         ds = D.gen_synthetic(D.SyntheticSpec("periodic_traffic", 60, 6, rank=2, seed=7))
-        rep = D.eval_downstream(ds.values, [("original", ds.values)], k=3, holdout=6)
-        assert "original" in rep["wmape"]
+        rep = D.eval_downstream(ds.values, [("original", ds.values)])
+        assert list(rep) == ["wmape"] and list(rep["wmape"]) == ["original"]
         assert rep["wmape"]["original"] >= 0.0
 
     def test_identical_variant_matches_reference(self):
         ds = D.gen_synthetic(D.SyntheticSpec("periodic_traffic", 60, 6, rank=2, seed=8))
-        rep = D.eval_downstream(
-            ds.values,
-            [("original", ds.values), ("copy", ds.values.copy())],
-            k=3,
-            holdout=6,
-        )
+        rep = D.eval_downstream(ds.values, [("original", ds.values), ("copy", ds.values.copy())])
         assert rep["wmape"]["original"] == rep["wmape"]["copy"]
 
-    def test_config_hash_stable(self):
-        ds = D.gen_synthetic(D.SyntheticSpec("lowrank_poisson", 40, 5, rank=2, seed=9))
-        a = D.eval_downstream(ds.values, [("o", ds.values)], k=3, holdout=4)
-        b = D.eval_downstream(ds.values, [("o", ds.values)], k=3, holdout=4)
-        assert a["config_hash"] == b["config_hash"]
-
     def test_bad_holdout(self):
-        with pytest.raises(SpecError):
-            D.eval_downstream(np.ones((10, 2)), [("o", np.ones((10, 2)))], k=3, holdout=9)
+        # 6 rows hold out 1, which leaves the first forecast only KNN_K rows
+        with pytest.raises(SpecError, match="holdout"):
+            D.eval_downstream(np.ones((6, 2)), [("o", np.ones((6, 2)))])

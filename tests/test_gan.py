@@ -63,7 +63,7 @@ def full_batch(xm, rcfg, pre, seed=0):
         x=xm.values,
         mask=xm.mask,
         z=K.uniform(rng, m, rcfg.h, 0.0, G.NOISE_HIGH),
-        hint=G.build_hint(xm.mask, G.HINT_RATE, rng),
+        hint=G.build_hint(xm.mask, rng),
         y=K.bernoulli(rng, m, 1, 0.5),
         u_p=pre.U,
     )
@@ -160,33 +160,18 @@ class TestConfig:
 
 
 class TestHint:
-    def test_rate_one_returns_mask(self):
-        mask = gen_scattered(10, 10, 0.5, 0)
-        assert np.array_equal(G.build_hint(mask, 1.0, K.make_rng(1)), mask)
-
-    def test_rate_zero_all_half(self):
-        mask = gen_scattered(10, 10, 0.5, 0)
-        assert np.all(G.build_hint(mask, 0.0, K.make_rng(1)) == 0.5)
-
     def test_half_fraction_matches_rate(self):
         mask = np.ones((100, 100))
-        hint = G.build_hint(mask, 0.9, K.make_rng(3))
+        hint = G.build_hint(mask, K.make_rng(3))
         frac_half = float((hint == 0.5).mean())
-        assert abs(frac_half - 0.1) < 0.02
+        assert abs(frac_half - (1.0 - G.HINT_RATE)) < 0.02
         assert set(np.unique(hint)) <= {0.0, 0.5, 1.0}
 
-    @pytest.mark.parametrize("rate", ["0.5", None, True])
-    def test_non_real_rate_rejected(self, rate):
-        # these once surfaced as a stray TypeError, or passed as 1.0
-        with pytest.raises(SpecError, match="hint_rate"):
-            G.build_hint(np.ones((3, 3)), rate, K.make_rng(1))
-
-    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.9, 1.0])
-    def test_same_bits_and_draws_as_the_bernoulli_form(self, rate):
+    def test_same_bits_and_draws_as_the_bernoulli_form(self):
         mask = gen_scattered(40, 30, 0.4, 5)
         rng_new, rng_old = K.make_rng(8), K.make_rng(8)
-        hint = G.build_hint(mask, rate, rng_new)
-        b = K.bernoulli(rng_old, 40, 30, rate)
+        hint = G.build_hint(mask, rng_new)
+        b = K.bernoulli(rng_old, 40, 30, G.HINT_RATE)
         old = b * mask + 0.5 * (1.0 - b)
         assert np.array_equal(hint.view(np.uint64), old.view(np.uint64))
         assert rng_new.random() == rng_old.random()
@@ -229,7 +214,7 @@ class TestGeneratorAndMcl:
 
     def test_fresh_head_is_near_identity(self):
         # the head must pass the warm-started product U @ V through, not
-        # squash it to a constant, and keep its sigmoid bound
+        # squash it to a constant, and keep its output inside [0, 1]
         _, _, _, _, model = toy_setup()
         p = np.linspace(0.1, 0.9, 801).reshape(-1, 1)
         out, _ = K.net_forward(model.mcl, p)
@@ -255,6 +240,10 @@ class TestGeneratorAndMcl:
         big = np.geomspace(4.0, 1e4, 1001)
         top, _ = K.net_forward(head, big.reshape(-1, 1))
         assert np.all(np.abs(top.ravel() - 1.0) <= 4 * np.spacing(big))
+        # the hinges never cross, so the output stays >= EPS_NORM however
+        # large p is: _g_objective's KL term relies on that and clamps nothing
+        huge, _ = K.net_forward(head, np.geomspace(4.0, 1e300, 1001).reshape(-1, 1))
+        assert np.all(huge >= lo)
 
 
 class TestAssembleAndMix:
@@ -327,7 +316,7 @@ class TestCombinedLoss:
         assert forwards(calls, model.d1) == 0 and forwards(calls, model.d2) == 0
         u, _ = K.net_forward(model.generator, np.hstack([b["x"], b["mask"], b["z"]]))
         xhat, _ = G._head(model, u)
-        expected = mf.kl_loss(b["x"], np.maximum(xhat, G.LOG_EPS), b["mask"])
+        expected = mf.kl_loss(b["x"], xhat, b["mask"])
         assert abs(total - expected) < 1e-12
         assert recon == total
 

@@ -3,6 +3,9 @@ import pytest
 
 from blockecho import metrics as MT
 from blockecho.errors import EvaluationError, SpecError, ValidationError
+from blockecho.gan import BlockEchoConfig, train
+from blockecho.masking import apply_mask
+from blockecho.mf import pretrain
 
 
 class TestNormalize:
@@ -72,6 +75,25 @@ class TestNormalize:
         x = np.array([[-1e308], [-9e307], [1e308]])
         out, _ = MT.normalize(x, np.array([[1.0], [1.0], [0.0]]))
         assert out.tolist() == [[MT.EPS_NORM], [1.0], [0.0]]
+
+    @pytest.mark.parametrize("shape, seed", [((7, 3), 0), ((5, 1), 1), ((2, 2), 0)])
+    def test_subnormal_data_stays_in_range(self, shape, seed):
+        # on subnormal data the affine map once rounded a column maximum a
+        # few ulp above 1, which gan.train then rejected as unnormalized
+        x = np.random.default_rng(seed).random(shape) * 1e-310
+        out, _ = MT.normalize(x, np.ones(shape))
+        assert np.all((out >= MT.EPS_NORM) & (out <= 1.0))
+
+    def test_subnormal_data_imputes(self):
+        x = np.random.default_rng(0).random((7, 3)) * 1e-310
+        mask = np.ones((7, 3))
+        mask[3, 1] = 0.0
+        out, _ = MT.normalize(x, mask)
+        xm = apply_mask(out, mask)
+        pre, _ = pretrain(xm, 1, max_iters=20)
+        _, result = train(xm, pre, BlockEchoConfig(h=1, iters=3))
+        assert np.all(np.isfinite(result.imputed))
+        assert np.array_equal(result.imputed[mask > 0], out[mask > 0])
 
 
 class TestRmse:

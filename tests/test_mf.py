@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blockecho import mf
-from blockecho.errors import SpecError, ValidationError
+from blockecho.errors import ShapeError, SpecError, ValidationError
 from blockecho.masking import MaskedMatrix, apply_mask, gen_scattered, gen_uniblock
 from blockecho.metrics import normalize, rmse_missing
 
@@ -108,6 +108,29 @@ class TestMuStep:
         a = mf.mu_step(x, mask, factors)
         b = mf.mu_step(x2, mask, factors)
         assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
+
+
+class TestShapeMismatch:
+    # each of these once surfaced as numpy's ValueError or an IndexError,
+    # or as a SpecError where every other module raises ShapeError
+    @pytest.mark.parametrize("U_rows, mask_shape", [(5, (6, 4)), (6, (6, 3)), (6, (1, 4))],
+                             ids=["factor-rows", "mask-columns", "mask-rows"])
+    def test_mu_step(self, U_rows, mask_shape):
+        f = mf.FactorPair(np.ones((U_rows, 2)), np.ones((2, 4)))
+        with pytest.raises(ShapeError):
+            mf.mu_step(np.ones((6, 4)), np.ones(mask_shape), f)
+
+    def test_init_factors(self):
+        with pytest.raises(ShapeError):
+            mf.init_factors(np.ones((6, 4)), np.ones((6, 3)), 2, 0)
+
+    def test_kl_loss(self):
+        with pytest.raises(ShapeError):
+            mf.kl_loss(np.ones((3, 3)), np.ones((3, 2)), np.ones((3, 3)))
+
+    def test_factor_inner_dims(self):
+        with pytest.raises(ShapeError, match="inner dims"):
+            mf.FactorPair(np.ones((3, 2)), np.ones((3, 4)))
 
 
 class TestPretrain:
