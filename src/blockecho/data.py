@@ -1,10 +1,11 @@
 """Dataset ingestion, synthetic corpora and the downstream forecasting task.
 
-Synthetic generators mimic three data regimes at desk scale: plain
-low-rank matrices with Poisson jitter, traffic-style matrices (low-rank
-base, a daily cycle over the row/time axis with per-column phase offsets,
-and a saturating response), and epidemic-style matrices (smooth bumps plus
-sparse multiplicative bursts).
+Synthetic generators mimic three data regimes at desk scale, each built
+from a kind, a size and a seed alone: plain low-rank matrices, traffic-style
+matrices (low-rank base, a daily cycle over the row/time axis with
+per-column phase offsets, and a saturating response), and epidemic-style
+matrices (smooth bumps plus sparse multiplicative bursts). The rank is
+min(SYNTHETIC_RANK, m, n), and no noise is added.
 
 The downstream task forecasts the next row of a fully observed matrix with
 a nearest-neighbor regressor over whole rows: find the KNN_K historical rows
@@ -20,16 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, SpecError, ValidationError
-from .kernel import as_matrix, require_int, require_real, spawn_rngs
+from .errors import EvaluationError, ParseError, ShapeError, SpecError, ValidationError
+from .kernel import as_matrix, require_int, spawn_rngs
 from .masking import MaskedMatrix, apply_mask
 from .metrics import wmape
 
+# "lowrank_poisson" names the plain low-rank kind; it draws no Poisson noise
 SYNTHETIC_KINDS = ("lowrank_poisson", "periodic_traffic", "burst_epidemic")
+SYNTHETIC_RANK = 4  # rank of the factors, capped at min(m, n)
 
 DAY_PERIOD = 24  # rows per synthetic "day"
-# numpy's largest Poisson rate: the int64 maximum less ten standard deviations
-POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 KNN_K = 5  # neighbors the downstream forecaster averages
 
 
@@ -67,56 +68,32 @@ class SyntheticSpec:
     kind: str
     m: int
     n: int
-    rank: int = 4
-    noise: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in SYNTHETIC_KINDS:
             raise SpecError(f"unknown synthetic kind '{self.kind}'")
-        require_int(m=self.m, n=self.n, rank=self.rank)
-        require_real(noise=self.noise)
+        require_int(m=self.m, n=self.n)
         if self.m < 1 or self.n < 1:
             raise SpecError(f"matrix size {self.m}x{self.n} is empty")
-        if not 1 <= self.rank <= min(self.m, self.n):
-            raise SpecError(f"rank {self.rank} infeasible for {self.m}x{self.n}")
-        if not 0.0 <= self.noise < np.inf:  # written so that NaN fails it too
-            raise SpecError(f"noise level must be finite and >= 0, got {self.noise}")
 
 
 def _default_labels(m, n):
     return [f"t{i:04d}" for i in range(m)], [f"c{j:03d}" for j in range(n)]
 
 
-def _jitter(x, noise, rng):
-    """x * (1 + noise * standard normal draws), or SpecError if that overflows."""
-    try:
-        with np.errstate(over="raise"):
-            return x * (1.0 + noise * rng.standard_normal(x.shape))
-    except FloatingPointError:
-        raise SpecError(f"noise level {noise} overflows the multiplicative jitter") from None
-
-
 def gen_synthetic(spec: SyntheticSpec) -> Dataset:
-    """Deterministic nonnegative synthetic matrix for the requested regime."""
-    factor_rng, shape_rng, noise_rng = spawn_rngs(spec.seed, 3)
-    m, n, r = spec.m, spec.n, spec.rank
+    """Deterministic positive synthetic matrix for the requested regime, of
+    rank min(SYNTHETIC_RANK, m, n) before any saturation or bursts."""
+    factor_rng, shape_rng = spawn_rngs(spec.seed, 2)
+    m, n = spec.m, spec.n
+    r = min(SYNTHETIC_RANK, m, n)
     u = factor_rng.uniform(0.5, 1.5, size=(m, r))
     v = factor_rng.uniform(0.5, 1.5, size=(r, n))
     base = u @ v
 
     if spec.kind == "lowrank_poisson":
         x = base
-        if spec.noise > 0:
-            # Poisson draws at rate base/noise, scaled back: mean-preserving jitter
-            with np.errstate(over="ignore"):  # an infinite rate fails the check below
-                lam = base / spec.noise
-            if not lam.max() <= POISSON_LAM_MAX:
-                raise SpecError(
-                    f"noise level {spec.noise} is too small: Poisson rates base/noise "
-                    f"would pass {POISSON_LAM_MAX:.4g}"
-                )
-            x = noise_rng.poisson(lam) * spec.noise
     elif spec.kind == "periodic_traffic":
         phase = shape_rng.uniform(0.0, 2.0 * np.pi, size=n)
         hours = 2.0 * np.pi * np.arange(m)[:, None] / DAY_PERIOD
@@ -124,8 +101,6 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
         # saturating response: throughput flattens as the load grows
         load = base * cycle
         x = 2.0 / (1.0 + np.exp(-load / (0.7 * np.mean(load)))) - 1.0
-        if spec.noise > 0:
-            x = _jitter(x, spec.noise, noise_rng)
     else:  # burst_epidemic
         t = np.arange(m, dtype=float)
         curves = np.empty((m, r))
@@ -141,10 +116,7 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
             span = int(shape_rng.integers(2, 7))
             j = int(shape_rng.integers(n))
             x[i0 : i0 + span, j] *= shape_rng.uniform(2.0, 5.0)
-        if spec.noise > 0:
-            x = _jitter(x, spec.noise, noise_rng)
 
-    x = np.maximum(x, 0.0)
     rows, cols = _default_labels(m, n)
     return Dataset(x, rows, cols)
 
@@ -209,7 +181,10 @@ def load_csv(path, header=False, index=False) -> Dataset:
 
 def forecast_next(history) -> np.ndarray:
     """Predict the row after the last one: average the successors of the
-    KNN_K historical rows nearest (Euclidean) to the last row."""
+    KNN_K historical rows nearest (Euclidean) to the last row.
+
+    EvaluationError if a distance or the average overflows float64.
+    """
     history = as_matrix(history)
     t = history.shape[0]
     if t <= KNN_K:
@@ -218,9 +193,13 @@ def forecast_next(history) -> np.ndarray:
         raise ValidationError("history must be fully observed; impute first")
     query = history[-1]
     candidates = history[:-1]
-    dist = np.sqrt(np.sum((candidates - query) ** 2, axis=1))
-    nearest = np.argsort(dist, kind="stable")[:KNN_K]
-    return history[nearest + 1].mean(axis=0, keepdims=True)
+    with np.errstate(over="ignore"):
+        dist = np.sqrt(np.sum((candidates - query) ** 2, axis=1))
+        nearest = np.argsort(dist, kind="stable")[:KNN_K]
+        pred = history[nearest + 1].mean(axis=0, keepdims=True)
+    if not (np.all(np.isfinite(dist)) and np.all(np.isfinite(pred))):
+        raise EvaluationError("the forecast overflows float64 at this scale")
+    return pred
 
 
 def eval_downstream(original, variants) -> dict:

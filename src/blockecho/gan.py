@@ -48,7 +48,6 @@ from .kernel import (
     DenseNet,
     adam_step,
     as_matrix,
-    bernoulli,
     init_dense,
     net_backward,
     net_forward,
@@ -368,7 +367,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
             hb = build_hint(mb, hint_rng)
             xbar = np.hstack([_assemble(xb, mb, xhat), hb])
             d2_val = _d_step(model.d2, model.opt_d2, "d2", xbar, mb)
-            yb = bernoulli(y_rng, cfg.batch_rows, 1, 0.5)
+            yb = (y_rng.random((cfg.batch_rows, 1)) < 0.5).astype(np.float64)
             d1_val = _d_step(model.d1, model.opt_d1, "d1", np.where(yb > 0, upb, u), yb)
 
         g_total, recon, grads = _g_objective(model, xb, mb, zb, hb, yb, upb, cfg.alpha)

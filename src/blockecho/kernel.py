@@ -30,8 +30,19 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominato
 
 
 def as_matrix(data) -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting anything else."""
-    a = np.asarray(data, dtype=np.float64)
+    """Coerce to a 2-D float64 array, rejecting anything else.
+
+    Input numpy cannot read as real numbers (text, ragged rows, complex
+    values) raises ValidationError; a float64 array passes through as is.
+    """
+    try:
+        # the dtype is read before the cast, which would drop an imaginary part
+        dtype = np.asarray(data).dtype
+        if dtype.kind == "c":
+            raise TypeError(f"dtype {dtype} is complex")
+        a = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"expected a matrix of real numbers: {exc}") from None
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
     return a
@@ -319,11 +330,3 @@ def _require_dims(rows, cols):
 def uniform(rng, rows, cols, low=0.0, high=1.0) -> np.ndarray:
     _require_dims(rows, cols)
     return rng.uniform(low, high, size=(rows, cols))
-
-
-def bernoulli(rng, rows, cols, p) -> np.ndarray:
-    _require_dims(rows, cols)
-    require_real(p=p)
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"bernoulli probability {p} outside [0, 1]")
-    return (rng.random((rows, cols)) < p).astype(np.float64)

@@ -109,12 +109,24 @@ def rmse_missing(imputed, truth, mask) -> RmsePair:
 
 
 def wmape(pred, actual) -> float:
-    """Sum of absolute errors over sum of absolute actuals."""
+    """Sum of absolute errors over sum of absolute actuals.
+
+    Both inputs must be finite; EvaluationError if a sum or the ratio
+    overflows float64.
+    """
     pred = as_matrix(pred)
     actual = as_matrix(actual)
     if pred.shape != actual.shape:
         raise ShapeError(f"pred {pred.shape} != actual {actual.shape}")
-    denom = float(np.sum(np.abs(actual)))
+    if not (np.all(np.isfinite(pred)) and np.all(np.isfinite(actual))):
+        raise ValidationError("pred and actual must be finite")
+    with np.errstate(over="ignore"):
+        numer = float(np.sum(np.abs(pred - actual)))
+        denom = float(np.sum(np.abs(actual)))
     if denom == 0.0:
         raise EvaluationError("reference values are all zero; WMAPE undefined")
-    return float(np.sum(np.abs(pred - actual)) / denom)
+    ratio = numer / denom
+    # written so that an infinite numerator fails it too: inf / inf is NaN
+    if not (denom < np.inf and ratio < np.inf):
+        raise EvaluationError("WMAPE overflows float64 at this scale")
+    return ratio

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ShapeError, SpecError, ValidationError
 from .kernel import as_matrix, make_rng, require_int, require_real
-from .masking import MaskedMatrix
+from .masking import MaskedMatrix, apply_mask
 
 EPS_FLOOR = 1e-8  # positivity floor keeping KL and the updates defined
 
@@ -80,13 +80,18 @@ def kl_loss(x, xhat, mask) -> float:
     if not x.shape == xhat.shape == mask.shape:
         raise ShapeError(f"shape mismatch: x {x.shape}, xhat {xhat.shape}, mask {mask.shape}")
     obs = mask > 0
-    xv = x[obs]
+    xv = _check_observed(x[obs])
+    return _kl_sum(xv, xhat[obs], *_zeros_to_one(xv))
+
+
+def _check_observed(xv):
+    """xv, the observed values, or ValidationError unless all are finite and >= 0."""
     # written so that NaN fails it too
     if not np.all((xv >= 0) & (xv < np.inf)):
         raise ValidationError(
             "observed values must be finite and nonnegative; run metrics.normalize first"
         )
-    return _kl_sum(xv, xhat[obs], *_zeros_to_one(xv))
+    return xv
 
 
 def _zeros_to_one(xv):
@@ -123,45 +128,51 @@ def _dead_axis_warning(kind, count):
 def mu_step(x, mask, factors: FactorPair) -> FactorPair:
     """One alternating multiplicative update of U then V on observed cells.
 
-    Rows/columns without any observed entry have a zero update denominator;
-    those factor rows are left unchanged (and flagged with a warning).
+    The mask must be binary and the observed values finite and >= 0, as in
+    pretrain. Rows/columns without any observed entry have a zero update
+    denominator; those factor rows are left unchanged (and flagged with a
+    warning).
     """
-    x = as_matrix(x)
-    mask = as_matrix(mask)
+    # checks the shapes, the binary mask and finite observed values; the
+    # unobserved cells get the sentinel 0.0, as _mu_update's xo needs
+    xm = apply_mask(x, mask)
     U, V = factors.U, factors.V
-    if not x.shape == mask.shape == (U.shape[0], V.shape[1]):
-        raise ShapeError(f"data {x.shape}, mask {mask.shape}, factors {U.shape}/{V.shape} differ")
-    xo = np.where(mask > 0, x, 0.0)
-    U2, V2, live_u, live_v = _mu_update(xo, mask, U, V, U @ V)
-    dead_rows = int(np.sum(~live_u.any(axis=1)))
+    if xm.shape != (U.shape[0], V.shape[1]):
+        raise ShapeError(f"data {xm.shape} and factors {U.shape}/{V.shape} differ")
+    obs = xm.mask > 0
+    _check_observed(xm.values[obs])
+    live_u, live_v = obs.any(axis=1, keepdims=True), obs.any(axis=0, keepdims=True)
+    U2, V2 = _mu_update(xm.values, xm.mask, U, V, U @ V, live_u, live_v)
+    dead_rows = int(np.sum(~live_u))
     if dead_rows:
         _dead_axis_warning("rows", dead_rows)
-    dead_cols = int(np.sum(~live_v.any(axis=0)))
+    dead_cols = int(np.sum(~live_v))
     if dead_cols:
         _dead_axis_warning("columns", dead_cols)
     return FactorPair(U2, V2)
 
 
-def _mu_update(xo, mask, U, V, xhat):
+def _mu_update(xo, mask, U, V, xhat, live_u, live_v):
     """Both half-updates of mu_step from xhat = U @ V, which is overwritten;
-    xo is x with its unobserved cells set to 0. Returns (U', V', live_u,
-    live_v), where live_* marks the nonzero update denominators.
+    xo is x with its unobserved cells set to 0, and mask is binary. live_u
+    (m x 1) and live_v (1 x n) mark the rows and columns with an observed
+    cell, whose update denominators are the nonzero ones, since every
+    factor entry is >= EPS_FLOOR; the other factor rows keep multiplier 1.
+    Returns (U', V').
 
     xo / xhat is already 0 off the mask, since xhat >= EPS_FLOOR**2 > 0.
     """
     numer = np.divide(xo, xhat, out=xhat) @ V.T
     denom = mask @ V.T
-    live_u = denom > 0
     mult = np.divide(numer, denom, out=np.ones_like(numer), where=live_u)
     U2 = np.maximum(U * mult, EPS_FLOOR)
 
     np.matmul(U2, V, out=xhat)
     numer = U2.T @ np.divide(xo, xhat, out=xhat)
     denom = U2.T @ mask
-    live_v = denom > 0
     mult = np.divide(numer, denom, out=np.ones_like(numer), where=live_v)
     V2 = np.maximum(V * mult, EPS_FLOOR)
-    return U2, V2, live_u, live_v
+    return U2, V2
 
 
 def init_factors(x, mask, h, seed) -> FactorPair:
@@ -215,11 +226,10 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
     if not obs.any():
         raise SpecError("cannot factorize: the mask has no observed entries")
     idx = np.flatnonzero(obs)
-    xv = x.ravel()[idx]
-    if not np.all(np.isfinite(xv)) or np.any(xv < 0):
-        raise ValidationError("observed values must be finite and nonnegative; normalize first")
+    xv = _check_observed(x.ravel()[idx])
     xs, zero = _zeros_to_one(xv)
     xo = np.where(obs, x, 0.0)
+    live_u, live_v = obs.any(axis=1, keepdims=True), obs.any(axis=0, keepdims=True)
     # the updates floor U and V at EPS_FLOOR, so FactorPair checks them once, at return
     init = init_factors(x, mask, h, seed)
     U, V = init.U, init.V
@@ -233,7 +243,7 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
         steps = min(CHECK_EVERY, max_iters - iterations)
         for _ in range(steps):
             # rows and columns without observed cells are dealt with after the loop
-            U, V, _, _ = _mu_update(xo, mask, U, V, xhat)
+            U, V = _mu_update(xo, mask, U, V, xhat, live_u, live_v)
             np.matmul(U, V, out=xhat)
         iterations += steps
         losses.append(_kl_sum(xv, xhat.ravel()[idx], xs, zero))
@@ -241,8 +251,8 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
         if prev <= 0 or (prev - cur) / prev < tol * steps:
             converged = True
             break
-    dead_rows = mask.sum(axis=1) == 0
-    dead_cols = mask.sum(axis=0) == 0
+    dead_rows = ~live_u[:, 0]
+    dead_cols = ~live_v[0]
     if dead_rows.any() and not dead_rows.all():
         U[dead_rows] = U[~dead_rows].mean(axis=0)
     if dead_cols.any() and not dead_cols.all():

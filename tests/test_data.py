@@ -3,7 +3,7 @@ import pytest
 
 from blockecho import data as D
 from blockecho import kernel as K
-from blockecho.errors import ParseError, SpecError, ValidationError
+from blockecho.errors import EvaluationError, ParseError, SpecError, ValidationError
 from blockecho.masking import SENTINEL, gen_uniblock
 
 
@@ -98,20 +98,30 @@ class TestLoadCsv:
 
 class TestSynthetic:
     def test_exact_rank_when_noiseless(self):
-        ds = D.gen_synthetic(D.SyntheticSpec("lowrank_poisson", 40, 20, rank=3, seed=0))
+        ds = D.gen_synthetic(D.SyntheticSpec("lowrank_poisson", 40, 20, seed=0))
         s = np.linalg.svd(ds.values, compute_uv=False)
-        assert s[3] / s[0] < 1e-8
+        assert D.SYNTHETIC_RANK == 4 and s[4] / s[0] < 1e-8
+
+    def test_lowrank_matches_the_three_stream_factors(self):
+        # the factors come from the first of the seed's spawned streams,
+        # the same draws as when a third (noise) stream was spawned beside it
+        for seed in (1, 2):
+            factor_rng = K.spawn_rngs(seed, 3)[0]
+            u = factor_rng.uniform(0.5, 1.5, size=(720, 4))
+            v = factor_rng.uniform(0.5, 1.5, size=(4, 64))
+            ds = D.gen_synthetic(D.SyntheticSpec("lowrank_poisson", 720, 64, seed=seed))
+            assert np.array_equal(ds.values.view(np.uint64), (u @ v).view(np.uint64))
 
     @pytest.mark.parametrize("kind", D.SYNTHETIC_KINDS)
     def test_nonnegative_and_deterministic(self, kind):
-        spec = D.SyntheticSpec(kind, 48, 10, rank=3, noise=0.1, seed=5)
+        spec = D.SyntheticSpec(kind, 48, 10, seed=5)
         a = D.gen_synthetic(spec)
         b = D.gen_synthetic(spec)
-        assert np.all(a.values >= 0)
+        assert np.all(a.values > 0)
         assert np.array_equal(a.values, b.values)
 
     def test_periodic_has_daily_cycle(self):
-        ds = D.gen_synthetic(D.SyntheticSpec("periodic_traffic", 96, 8, rank=2, seed=3))
+        ds = D.gen_synthetic(D.SyntheticSpec("periodic_traffic", 96, 8, seed=3))
         x = ds.values
         # autocorrelation at one day lag beats a half-day lag
         col = x[:, 0] - x[:, 0].mean()
@@ -119,28 +129,16 @@ class TestSynthetic:
         half = np.corrcoef(col[:-12], col[12:])[0, 1]
         assert day > 0.8 and day > half
 
-    @pytest.mark.parametrize("kind, noise", [
-        ("lowrank_poisson", 1e-30),
-        ("lowrank_poisson", 1e-300),
-        ("lowrank_poisson", 5e-324),
-        ("periodic_traffic", 1e308),
-        ("burst_epidemic", 1e308),
-    ])
-    def test_extreme_noise_names_itself(self, kind, noise):
-        # once numpy's "lam value too large" ValueError, or an overflow warning
-        spec = D.SyntheticSpec(kind, 24, 6, rank=2, noise=noise, seed=0)
-        with pytest.raises(SpecError, match="^noise level"):
-            D.gen_synthetic(spec)
-
-    def test_poisson_noise_draws(self):
-        spec = D.SyntheticSpec("lowrank_poisson", 30, 8, rank=2, noise=0.5, seed=4)
-        factor_rng, _, noise_rng = K.spawn_rngs(4, 3)
-        base = factor_rng.uniform(0.5, 1.5, (30, 2)) @ factor_rng.uniform(0.5, 1.5, (2, 8))
-        assert np.array_equal(D.gen_synthetic(spec).values, noise_rng.poisson(base / 0.5) * 0.5)
-
     def test_infeasible_rank(self):
-        with pytest.raises(SpecError):
-            D.SyntheticSpec("lowrank_poisson", 10, 5, rank=6)
+        # a side shorter than SYNTHETIC_RANK caps the rank instead of raising
+        factor_rng = K.spawn_rngs(1, 2)[0]
+        u = factor_rng.uniform(0.5, 1.5, size=(2, 2))
+        v = factor_rng.uniform(0.5, 1.5, size=(2, 5))
+        x = D.gen_synthetic(D.SyntheticSpec("lowrank_poisson", 2, 5, seed=1)).values
+        assert np.array_equal(x, u @ v)
+        for kind in D.SYNTHETIC_KINDS:
+            y = D.gen_synthetic(D.SyntheticSpec(kind, 2, 5, seed=1)).values
+            assert y.shape == (2, 5) and np.all(y > 0) and np.all(np.isfinite(y))
 
     def test_unknown_kind(self):
         with pytest.raises(SpecError):
@@ -148,17 +146,12 @@ class TestSynthetic:
 
 
 @pytest.mark.parametrize("make, field", [
-    (lambda: D.SyntheticSpec("lowrank_poisson", 10, 8, rank=1.5), "rank"),
     (lambda: D.SyntheticSpec("lowrank_poisson", 10.5, 8), "m"),
-    (lambda: D.SyntheticSpec("lowrank_poisson", 10, 8, noise="a"), "noise"),
-    (lambda: D.SyntheticSpec("lowrank_poisson", 10, 8, noise=np.nan), "noise"),
-    (lambda: D.SyntheticSpec("lowrank_poisson", 10, 8, noise=np.inf), "noise"),
 ], ids=[
-    "rank", "m", "noise-str", "noise-nan", "noise-inf",
+    "m",
 ])
 def test_malformed_argument_names_itself(make, field):
-    # each of these once surfaced as a stray TypeError, or was accepted (NaN
-    # or infinite noise, which makes Poisson draws warn and return NaN)
+    # once surfaced as a stray TypeError
     with pytest.raises(SpecError, match=f"^{field}"):
         make()
 
@@ -190,18 +183,45 @@ class TestForecast:
         with pytest.raises(ValidationError):
             D.forecast_next(hist)
 
+    @pytest.mark.parametrize("scale", [1e308, -1e308])
+    def test_overflow_is_evaluation_error(self, scale):
+        # a finite history once warned of overflow and forecast [[inf, inf]]
+        hist = np.random.default_rng(0).uniform(0.5, 1.0, (8, 2)) * scale
+        with pytest.raises(EvaluationError, match="overflows"):
+            D.forecast_next(hist)
+
+    def test_overflowing_distances_are_evaluation_error(self):
+        hist = np.ones((D.KNN_K + 2, 2))
+        hist[::2] = -1e308
+        hist[1::2] = 1e308
+        with pytest.raises(EvaluationError, match="overflows"):
+            D.forecast_next(hist)
+
 
 class TestDownstream:
     def test_original_is_reference(self):
-        ds = D.gen_synthetic(D.SyntheticSpec("periodic_traffic", 60, 6, rank=2, seed=7))
+        ds = D.gen_synthetic(D.SyntheticSpec("periodic_traffic", 60, 6, seed=7))
         rep = D.eval_downstream(ds.values, [("original", ds.values)])
         assert list(rep) == ["wmape"] and list(rep["wmape"]) == ["original"]
         assert rep["wmape"]["original"] >= 0.0
 
     def test_identical_variant_matches_reference(self):
-        ds = D.gen_synthetic(D.SyntheticSpec("periodic_traffic", 60, 6, rank=2, seed=8))
+        ds = D.gen_synthetic(D.SyntheticSpec("periodic_traffic", 60, 6, seed=8))
         rep = D.eval_downstream(ds.values, [("original", ds.values), ("copy", ds.values.copy())])
         assert rep["wmape"]["original"] == rep["wmape"]["copy"]
+
+    def test_overflow_is_evaluation_error(self):
+        # once a wmape of nan
+        x = np.random.default_rng(1).uniform(0.5, 1.0, (60, 2)) * 1e308
+        with pytest.raises(EvaluationError, match="overflows"):
+            D.eval_downstream(x, [("original", x)])
+
+    def test_non_finite_original_rejected(self):
+        x = D.gen_synthetic(D.SyntheticSpec("periodic_traffic", 60, 6, seed=7)).values
+        bad = x.copy()
+        bad[-1, 0] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            D.eval_downstream(bad, [("imputed", x)])
 
     def test_bad_holdout(self):
         # 6 rows hold out 1, which leaves the first forecast only KNN_K rows

@@ -64,7 +64,7 @@ def full_batch(xm, rcfg, pre, seed=0):
         mask=xm.mask,
         z=K.uniform(rng, m, rcfg.h, 0.0, G.NOISE_HIGH),
         hint=G.build_hint(xm.mask, rng),
-        y=K.bernoulli(rng, m, 1, 0.5),
+        y=(rng.random((m, 1)) < 0.5).astype(np.float64),
         u_p=pre.U,
     )
 
@@ -171,7 +171,7 @@ class TestHint:
         mask = gen_scattered(40, 30, 0.4, 5)
         rng_new, rng_old = K.make_rng(8), K.make_rng(8)
         hint = G.build_hint(mask, rng_new)
-        b = K.bernoulli(rng_old, 40, 30, G.HINT_RATE)
+        b = (rng_old.random((40, 30)) < G.HINT_RATE).astype(np.float64)
         old = b * mask + 0.5 * (1.0 - b)
         assert np.array_equal(hint.view(np.uint64), old.view(np.uint64))
         assert rng_new.random() == rng_old.random()
@@ -282,7 +282,7 @@ class TestAssembleAndMix:
 class TestDLosses:
     def test_d1_at_half(self):
         out = np.full((7, 1), 0.5)
-        y = K.bernoulli(K.make_rng(0), 7, 1, 0.5)
+        y = (K.make_rng(0).random((7, 1)) < 0.5).astype(np.float64)
         assert abs(G._bce_sum(G._clip_unit(out), y) - 7 * np.log(0.5)) < 1e-12
 
     def test_d1_perfect_discrimination_near_zero(self):

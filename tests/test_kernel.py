@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from blockecho import data, gan, masking, mf
+from blockecho import data, gan, masking, metrics, mf
 from blockecho import kernel as K
 from blockecho.errors import ShapeError, SpecError, TrainingError, ValidationError
 from oracles import fd_gradient, max_rel_error
@@ -397,22 +397,11 @@ class TestRng:
         b = K.uniform(K.make_rng(42), 5, 5)
         assert np.array_equal(a, b)
 
-    def test_bernoulli_extremes(self):
-        rng = K.make_rng(0)
-        assert np.all(K.bernoulli(rng, 10, 10, 0.0) == 0)
-        assert np.all(K.bernoulli(rng, 10, 10, 1.0) == 1)
-
     def test_uniform_mean(self):
         vals = K.uniform(K.make_rng(11), 100, 100)
         assert abs(vals.mean() - 0.5) < 0.02
 
-    def test_bernoulli_non_real_probability_names_itself(self):
-        # once a stray TypeError
-        with pytest.raises(SpecError, match="^p must be a real number"):
-            K.bernoulli(K.make_rng(0), 2, 2, "0.5")
-
-    @pytest.mark.parametrize("draw", [K.uniform, lambda rng, r, c: K.bernoulli(rng, r, c, 0.5)],
-                             ids=["uniform", "bernoulli"])
+    @pytest.mark.parametrize("draw", [K.uniform], ids=["uniform"])
     @pytest.mark.parametrize("rows, cols, match", [
         (-1, 2, "^draw size -1x2 is negative"),
         (2, -3, "^draw size 2x-3 is negative"),
@@ -471,6 +460,44 @@ def test_numpy_integer_seed_gives_the_int_stream():
     assert np.array_equal(K.make_rng(np.int64(7)).random(4), K.make_rng(7).random(4))
     for a, b in zip(K.spawn_rngs(np.uint64(7), 2), K.spawn_rngs(7, 2)):
         assert np.array_equal(a.random(4), b.random(4))
+
+
+class TestAsMatrix:
+    # each of these once surfaced as numpy's ValueError or TypeError, and a
+    # complex array as a ComplexWarning that drops the imaginary part
+    @pytest.mark.parametrize("data", [
+        "a",
+        [[1, "a"]],
+        [[1, 2], [3]],
+        [[1j]],
+        np.ones((2, 2), dtype=complex),
+        np.array([[1.0, 2j]], dtype=object),
+    ], ids=["text", "text-cell", "ragged", "complex-list", "complex-array", "complex-object"])
+    def test_non_real_input_is_validation_error(self, data):
+        with pytest.raises(ValidationError, match="^expected a matrix of real numbers"):
+            K.as_matrix(data)
+
+    @pytest.mark.parametrize("entry", [
+        lambda d: masking.apply_mask(d, np.ones((2, 2))),
+        lambda d: masking.MaskedMatrix(d, np.ones((2, 2))),
+        lambda d: metrics.normalize(d, np.ones((2, 2))),
+        lambda d: mf.kl_loss(np.ones((2, 2)), d, np.ones((2, 2))),
+    ], ids=["apply_mask", "MaskedMatrix", "normalize", "kl_loss"])
+    def test_entry_points_inherit_it(self, entry):
+        with pytest.raises(ValidationError):
+            entry(np.full((2, 2), 1 + 1j))
+        with pytest.raises(ValidationError):
+            entry([[1, 2], [3]])
+
+    def test_float64_array_passes_through(self):
+        x = np.ones((3, 2))
+        assert K.as_matrix(x) is x
+        assert K.as_matrix(x.T).base is x
+
+    def test_other_real_input_is_converted(self):
+        out = K.as_matrix([[1, True], [np.float32(0.5), "2.5"]])
+        assert out.dtype == np.float64
+        assert np.array_equal(out, [[1.0, 1.0], [0.5, 2.5]])
 
 
 class TestInit:

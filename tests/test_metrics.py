@@ -153,3 +153,26 @@ class TestWmape:
     def test_all_zero_actual(self):
         with pytest.raises(EvaluationError):
             MT.wmape(np.ones((1, 2)), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("pred, actual", [
+        (np.ones((2, 2)), [[np.inf, 1.0], [1.0, 1.0]]),
+        (np.ones((2, 2)), [[np.nan, 1.0], [1.0, 1.0]]),
+        ([[1.0, -np.inf]], [[1.0, 1.0]]),
+        ([[np.nan, 1.0]], [[1.0, 1.0]]),
+    ], ids=["inf-actual", "nan-actual", "inf-pred", "nan-pred"])
+    def test_non_finite_input_rejected(self, pred, actual):
+        # once NaN with a RuntimeWarning, or NaN silently
+        with pytest.raises(ValidationError, match="finite"):
+            MT.wmape(pred, actual)
+
+    @pytest.mark.parametrize("pred, actual", [
+        ([[1e308, 1e308]], [[-1e308, 1e308]]),
+        ([[1.0, 1.0]], [[1e308, 1e308]]),
+        ([[1e300]], [[5e-324]]),
+    ], ids=["error-sum", "actual-sum", "ratio"])
+    def test_overflow_is_evaluation_error(self, pred, actual):
+        with pytest.raises(EvaluationError, match="overflows"):
+            MT.wmape(pred, actual)
+
+    def test_large_finite_sums_still_score(self):
+        assert MT.wmape([[1e307, 2e307]], [[2e307, 2e307]]) == 0.25

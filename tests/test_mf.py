@@ -110,6 +110,50 @@ class TestMuStep:
         assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
 
 
+class TestMuStepValidation:
+    # each of these was once accepted: negative data came back as factors
+    # floored to EPS_FLOOR, and NaN data warned of dead columns
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_observed_value_rejected(self, bad):
+        f = mf.FactorPair(np.ones((2, 2)), np.ones((2, 2)))
+        x = np.ones((2, 2))
+        x[0, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            mf.mu_step(x, np.ones((2, 2)), f)
+
+    def test_negative_data_rejected(self):
+        f = mf.FactorPair(np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValidationError):
+            mf.mu_step(-np.ones((2, 2)), np.ones((2, 2)), f)
+
+    @pytest.mark.parametrize("entry", [0.5, 2.0, -1.0, np.nan])
+    def test_non_binary_mask_rejected(self, entry):
+        f = mf.FactorPair(np.ones((2, 2)), np.ones((2, 2)))
+        mask = np.ones((2, 2))
+        mask[1, 0] = entry
+        with pytest.raises(ValidationError, match="exactly 0 or 1"):
+            mf.mu_step(np.ones((2, 2)), mask, f)
+
+    def test_invalid_value_in_masked_cell_ignored(self):
+        x, _ = random_instance(6, 4, 1)
+        mask = np.ones((6, 4))
+        mask[2, 3] = 0.0
+        factors = mf.init_factors(x, mask, 2, 0)
+        a = mf.mu_step(x, mask, factors)
+        x[2, 3] = np.nan
+        b = mf.mu_step(x, mask, factors)
+        assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
+
+    def test_dead_columns_counted_from_the_mask(self):
+        x, _ = random_instance(5, 4, 2)
+        mask = np.ones((5, 4))
+        mask[:, [0, 2]] = 0.0
+        factors = mf.init_factors(x, mask, 2, 0)
+        with pytest.warns(RuntimeWarning, match="^2 columns"):
+            out = mf.mu_step(x, mask, factors)
+        assert np.array_equal(out.V[:, [0, 2]], factors.V[:, [0, 2]])
+
+
 class TestShapeMismatch:
     # each of these once surfaced as numpy's ValueError or an IndexError,
     # or as a SpecError where every other module raises ShapeError

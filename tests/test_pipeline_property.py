@@ -35,9 +35,8 @@ def instances(draw):
     m = draw(st.integers(1, 14))
     n = draw(st.integers(1, 10))
     kind = draw(st.sampled_from(SYNTHETIC_KINDS))
-    rank = draw(st.integers(1, min(m, n, 4)))
     seed = draw(st.integers(0, 2**16))
-    x = gen_synthetic(SyntheticSpec(kind, m, n, rank=rank, seed=seed)).values
+    x = gen_synthetic(SyntheticSpec(kind, m, n, seed=seed)).values
     for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
         x[:, j] = draw(st.sampled_from([0.0, 1.0, 7.5]))  # constant column
     pattern = draw(st.sampled_from(PATTERNS))
