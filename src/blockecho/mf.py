@@ -10,9 +10,11 @@ Factors are fitted by alternating multiplicative updates
 
     u_ia <- u_ia * (sum_j m_ij v_aj x_ij / xhat_ij) / (sum_j m_ij v_aj)
 
-and symmetrically for V. Each half-update minimizes an auxiliary upper
-bound of F that is tight at the current iterate, so F never increases; the
-loss trace of every run is checked against that guarantee in the tests.
+and symmetrically for V, on x with 0 in its unobserved cells; a row or
+column without observed cells has a zero denominator and keeps its factors.
+Each half-update minimizes an auxiliary upper bound of F that is tight at
+the current iterate, so F never increases; the loss trace of every run is
+checked against that guarantee in the tests.
 
 F feeds only the stopping test. Evaluated after every update it took about
 30 % of pretrain's time, so pretrain evaluates it after every CHECK_EVERY-th
@@ -80,8 +82,7 @@ def kl_loss(x, xhat, mask) -> float:
     if not x.shape == xhat.shape == mask.shape:
         raise ShapeError(f"shape mismatch: x {x.shape}, xhat {xhat.shape}, mask {mask.shape}")
     obs = mask > 0
-    xv = _check_observed(x[obs])
-    return _kl_sum(xv, xhat[obs], *_zeros_to_one(xv))
+    return _kl_sum(_check_observed(x[obs]), xhat[obs])
 
 
 def _check_observed(xv):
@@ -94,26 +95,19 @@ def _check_observed(xv):
     return xv
 
 
-def _zeros_to_one(xv):
-    """xv with its zeros set to 1, and the index of those zeros."""
-    zero = np.flatnonzero(xv == 0)
-    xs = xv.copy()
-    xs[zero] = 1.0
-    return xs, zero
-
-
-def _kl_sum(xv, xh, xs, zero) -> float:
+def _kl_sum(xv, xh) -> float:
     """KL of observed values xv against their estimates xh, both gathered in
-    the same order; xh is overwritten. (xs, zero) is _zeros_to_one(xv): xs
-    keeps the log finite where x = 0, a cell that contributes its limit xh."""
-    if np.any(xh <= 0):
-        raise ValidationError("estimates must be strictly positive for the KL loss")
-    terms = np.divide(xs, xh)
+    the same order; xh is overwritten. Where x = 0 the log's ratio is xh / xh
+    = 1, so the cell contributes its limit xh."""
+    # written so that NaN fails it too
+    if not np.all((xh > 0) & (xh < np.inf)):
+        raise ValidationError("estimates must be finite and strictly positive for the KL loss")
+    terms = np.where(xv > 0, xv, xh)
+    terms /= xh
     np.log(terms, out=terms)
     terms *= xv
     xh -= xv
     terms += xh
-    terms[zero] = xh[zero]
     return float(terms.sum())
 
 
@@ -134,45 +128,42 @@ def mu_step(x, mask, factors: FactorPair) -> FactorPair:
     warning).
     """
     # checks the shapes, the binary mask and finite observed values; the
-    # unobserved cells get the sentinel 0.0, as _mu_update's xo needs
+    # unobserved cells get the sentinel 0.0, as _mu_update's x needs
     xm = apply_mask(x, mask)
     U, V = factors.U, factors.V
     if xm.shape != (U.shape[0], V.shape[1]):
         raise ShapeError(f"data {xm.shape} and factors {U.shape}/{V.shape} differ")
     obs = xm.mask > 0
     _check_observed(xm.values[obs])
-    live_u, live_v = obs.any(axis=1, keepdims=True), obs.any(axis=0, keepdims=True)
-    U2, V2 = _mu_update(xm.values, xm.mask, U, V, U @ V, live_u, live_v)
-    dead_rows = int(np.sum(~live_u))
-    if dead_rows:
-        _dead_axis_warning("rows", dead_rows)
-    dead_cols = int(np.sum(~live_v))
-    if dead_cols:
-        _dead_axis_warning("columns", dead_cols)
+    U2, V2 = _mu_update(xm.values, xm.mask, U, V, U @ V)
+    for kind, axis in (("rows", 1), ("columns", 0)):
+        dead = int(np.sum(~obs.any(axis=axis)))
+        if dead:
+            _dead_axis_warning(kind, dead)
     return FactorPair(U2, V2)
 
 
-def _mu_update(xo, mask, U, V, xhat, live_u, live_v):
+def _mu_update(x, mask, U, V, xhat):
     """Both half-updates of mu_step from xhat = U @ V, which is overwritten;
-    xo is x with its unobserved cells set to 0, and mask is binary. live_u
-    (m x 1) and live_v (1 x n) mark the rows and columns with an observed
-    cell, whose update denominators are the nonzero ones, since every
-    factor entry is >= EPS_FLOOR; the other factor rows keep multiplier 1.
-    Returns (U', V').
+    x holds 0 in its unobserved cells, and mask is binary. Returns (U', V').
 
-    xo / xhat is already 0 off the mask, since xhat >= EPS_FLOOR**2 > 0.
+    Since every factor entry is >= EPS_FLOOR, an update denominator is
+    positive exactly on a row or column with an observed cell; the other
+    factor rows keep multiplier 1. x / xhat is already 0 off the mask, since
+    xhat >= EPS_FLOOR**2 > 0.
     """
-    numer = np.divide(xo, xhat, out=xhat) @ V.T
+    numer = np.divide(x, xhat, out=xhat) @ V.T
     denom = mask @ V.T
-    mult = np.divide(numer, denom, out=np.ones_like(numer), where=live_u)
-    U2 = np.maximum(U * mult, EPS_FLOOR)
+    mult = np.divide(numer, denom, out=np.ones_like(numer), where=denom > 0)
+    mult *= U
+    U2 = np.maximum(mult, EPS_FLOOR, out=mult)
 
     np.matmul(U2, V, out=xhat)
-    numer = U2.T @ np.divide(xo, xhat, out=xhat)
+    numer = U2.T @ np.divide(x, xhat, out=xhat)
     denom = U2.T @ mask
-    mult = np.divide(numer, denom, out=np.ones_like(numer), where=live_v)
-    V2 = np.maximum(V * mult, EPS_FLOOR)
-    return U2, V2
+    mult = np.divide(numer, denom, out=np.ones_like(numer), where=denom > 0)
+    mult *= V
+    return U2, np.maximum(mult, EPS_FLOOR, out=mult)
 
 
 def init_factors(x, mask, h, seed) -> FactorPair:
@@ -225,34 +216,31 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
     obs = mask > 0
     if not obs.any():
         raise SpecError("cannot factorize: the mask has no observed entries")
+    # loss checks gather by flat index, 5x faster than by obs at 720x64
     idx = np.flatnonzero(obs)
     xv = _check_observed(x.ravel()[idx])
-    xs, zero = _zeros_to_one(xv)
-    xo = np.where(obs, x, 0.0)
-    live_u, live_v = obs.any(axis=1, keepdims=True), obs.any(axis=0, keepdims=True)
     # the updates floor U and V at EPS_FLOOR, so FactorPair checks them once, at return
     init = init_factors(x, mask, h, seed)
     U, V = init.U, init.V
     # xhat = U @ V of the current factors: a check reads it, then the next
     # update starts from it and reuses its memory for the update ratios
     xhat = U @ V
-    losses = [_kl_sum(xv, xhat.ravel()[idx], xs, zero)]
+    losses = [_kl_sum(xv, xhat.ravel()[idx])]
     converged = False
     iterations = 0
     while iterations < max_iters:
         steps = min(CHECK_EVERY, max_iters - iterations)
         for _ in range(steps):
             # rows and columns without observed cells are dealt with after the loop
-            U, V = _mu_update(xo, mask, U, V, xhat, live_u, live_v)
+            U, V = _mu_update(x, mask, U, V, xhat)
             np.matmul(U, V, out=xhat)
         iterations += steps
-        losses.append(_kl_sum(xv, xhat.ravel()[idx], xs, zero))
+        losses.append(_kl_sum(xv, xhat.ravel()[idx]))
         prev, cur = losses[-2], losses[-1]
         if prev <= 0 or (prev - cur) / prev < tol * steps:
             converged = True
             break
-    dead_rows = ~live_u[:, 0]
-    dead_cols = ~live_v[0]
+    dead_rows, dead_cols = ~obs.any(axis=1), ~obs.any(axis=0)
     if dead_rows.any() and not dead_rows.all():
         U[dead_rows] = U[~dead_rows].mean(axis=0)
     if dead_cols.any() and not dead_cols.all():

@@ -50,6 +50,17 @@ class TestKlLoss:
     def test_non_finite_value_in_masked_cell_ignored(self):
         assert mf.kl_loss([[1.0, np.nan]], [[1.0, 1.0]], [[1.0, 0.0]]) == 0.0
 
+    def test_zero_observed_with_subnormal_estimate(self):
+        # once overflowed in 1 / xhat on the way to the limit term
+        assert mf.kl_loss([[0.0]], [[1e-310]], [[1.0]]) == 1e-310
+
+    @pytest.mark.parametrize("x", [0.0, 0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_estimate_rejected(self, x, bad):
+        # inf once warned of a divide by zero in log, nan returned nan
+        with pytest.raises(ValidationError, match="finite and strictly positive"):
+            mf.kl_loss([[x, 0.5]], [[bad, 1.0]], np.ones((1, 2)))
+
 
 class TestMuStep:
     def test_fixed_point_when_exact(self):
@@ -374,6 +385,19 @@ class TestPretrainBitExact:
         assert trace.converged
         assert trace.iterations == mf.CHECK_EVERY
         assert len(trace.losses) == 2
+
+    @pytest.mark.parametrize("name", BIT_EXACT_CASES)
+    def test_negative_zero_in_missing_cells_changes_no_bit(self, name):
+        # pretrain reads the values as given, -0.0 sentinels included
+        xm, h, max_iters, tol = bit_exact_case(name)
+        values = xm.values.copy()
+        values[xm.mask == 0] = -0.0
+        signed = MaskedMatrix(values, xm.mask.copy())
+        assert np.signbit(signed.values[xm.mask == 0]).all()
+        a, trace_a = mf.pretrain(xm, h, max_iters=max_iters, tol=tol, seed=5)
+        b, trace_b = mf.pretrain(signed, h, max_iters=max_iters, tol=tol, seed=5)
+        assert a.U.tobytes() == b.U.tobytes() and a.V.tobytes() == b.V.tobytes()
+        assert np.array(trace_a.losses).tobytes() == np.array(trace_b.losses).tobytes()
 
 
 class TestImputeAndIO:
