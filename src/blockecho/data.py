@@ -60,7 +60,7 @@ class Dataset:
         return np.isfinite(self.values).astype(np.float64)
 
     def masked(self) -> MaskedMatrix:
-        return apply_mask(np.nan_to_num(self.values, nan=0.0), self.inherent_mask)
+        return apply_mask(self.values, self.inherent_mask)
 
 
 @dataclass(frozen=True)

@@ -135,9 +135,6 @@ class EchoModel:
     V: np.ndarray
     d1: DenseNet
     d2: DenseNet
-    opt_g: AdamState
-    opt_d1: AdamState
-    opt_d2: AdamState
 
 
 @dataclass
@@ -280,23 +277,22 @@ def init_head() -> DenseNet:
     - relu(p - 1), which is clip(p, EPS_NORM, 1).
 
     It equals np.clip bit for bit for every p <= 4; above that the two
-    hinges cancel only to within rounding, a few ulp(p). Its input gradient
-    passes through: 1 strictly inside the range, 0 outside it. No optimizer
-    holds its weights.
+    hinges cancel only to within rounding, a few ulp(p). Rounding is
+    monotone, so the first hinge is never below the second and the output
+    pre-activation is at least EPS_NORM: the output relu passes it
+    unchanged, with derivative 1. Its input gradient passes through: 1
+    strictly inside the range, 0 outside it. No optimizer holds its weights.
     """
     return DenseNet([np.ones((1, 2)), np.array([[1.0], [-1.0]])],
                     [np.array([[-EPS_NORM, -1.0]]), np.array([[EPS_NORM]])],
-                    ["relu", "identity"])
+                    ["relu", "relu"])
 
 
 def build_model(cfg: BlockEchoConfig, pre: FactorPair, rng) -> EchoModel:
-    """Networks, the trainable V (a copy of pre.V) and optimizer states; cfg resolved."""
+    """Networks and the trainable V (a copy of pre.V); cfg resolved."""
     g, d1, d2 = (init_dense(list(sizes), ACTS, rng)
                  for sizes in (cfg.g_layers, cfg.d1_layers, cfg.d2_layers))
-    return EchoModel(
-        generator=g, mcl=init_head(), V=pre.V.copy(), d1=d1, d2=d2,
-        opt_g=AdamState(lr=LR), opt_d1=AdamState(lr=LR), opt_d2=AdamState(lr=LR),
-    )
+    return EchoModel(generator=g, mcl=init_head(), V=pre.V.copy(), d1=d1, d2=d2)
 
 
 def _last_finite(seq):
@@ -347,6 +343,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
 
     init_rng, batch_rng, noise_rng, hint_rng, y_rng = spawn_rngs(cfg.seed, 5)
     model = build_model(cfg, pre, init_rng)
+    opt_g, opt_d1, opt_d2 = (AdamState(lr=LR) for _ in range(3))
     trace = {"d1": [], "d2": [], "mf_term": [], "g_total": []}
     g_params = _g_params(model)  # the arrays themselves, which Adam updates in place
 
@@ -366,12 +363,12 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
             xhat, _ = _head(model, u)
             hb = build_hint(mb, hint_rng)
             xbar = np.hstack([_assemble(xb, mb, xhat), hb])
-            d2_val = _d_step(model.d2, model.opt_d2, "d2", xbar, mb)
+            d2_val = _d_step(model.d2, opt_d2, "d2", xbar, mb)
             yb = (y_rng.random((cfg.batch_rows, 1)) < 0.5).astype(np.float64)
-            d1_val = _d_step(model.d1, model.opt_d1, "d1", np.where(yb > 0, upb, u), yb)
+            d1_val = _d_step(model.d1, opt_d1, "d1", np.where(yb > 0, upb, u), yb)
 
         g_total, recon, grads = _g_objective(model, xb, mb, zb, hb, yb, upb, cfg.alpha)
-        adam_step(model.opt_g, g_params, grads)
+        adam_step(opt_g, g_params, grads)
         trace["d1"].append(d1_val)
         trace["d2"].append(d2_val)
         trace["mf_term"].append(recon if cfg.alpha > 0.0 else float("nan"))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ShapeError, SpecError, TrainingError, ValidationError
 
-ACTIVATIONS = ("relu", "sigmoid", "identity")
+ACTIVATIONS = ("relu", "sigmoid")
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
@@ -63,13 +63,11 @@ def _apply_activation(name, z):
         return np.maximum(z, 0.0, out=z)
     if name == "sigmoid":
         return _sigmoid(z)
-    if name == "identity":
-        return z
     raise ValidationError(f"unknown activation '{name}'")
 
 
 def _activation_grad(name, a):
-    """d activation / d z from the output a alone, or None for identity.
+    """d activation / d z from the output a alone.
 
     relu's is the boolean mask a > 0, which a product with a float array
     reads as 0.0/1.0; it equals z > 0 for every z, -0.0 and NaN included,
@@ -79,8 +77,6 @@ def _activation_grad(name, a):
         return a > 0.0
     if name == "sigmoid":
         return a * (1.0 - a)
-    if name == "identity":
-        return None
     raise ValidationError(f"unknown activation '{name}'")
 
 
@@ -185,10 +181,9 @@ def net_backward(net: DenseNet, cache: ForwardCache, out_grad, *, params=True, i
     for i in range(last, -1, -1):
         w = net.weights[i]
         act_grad = _activation_grad(net.activations[i], cache.outputs[i + 1])
-        if act_grad is not None:
-            # below the last layer d is this pass's own array, so it is
-            # scaled in place; the caller's out_grad is never written
-            d = d * act_grad if i == last else np.multiply(d, act_grad, out=d)
+        # below the last layer d is this pass's own array, so it is scaled
+        # in place; the caller's out_grad is never written
+        d = d * act_grad if i == last else np.multiply(d, act_grad, out=d)
         if params:
             grads[i] = (cache.outputs[i] @ d.T, d.sum(axis=1).reshape(1, -1))
         if i or inputs:

@@ -134,14 +134,17 @@ def _sample_rect(m, n, pairs, rng):
 
 def gen_uniblock(m, n, rate, seed) -> np.ndarray:
     """One contiguous missing rectangle with dims >= 4, area as close as
-    possible to round(rate*m*n)."""
+    possible to round(rate*m*n); SpecError if the whole matrix is one of the
+    closest rectangles."""
     _check_args(m, n, rate)
     if m < MIN_BLOCK or n < MIN_BLOCK:
         raise SpecError(
             f"no feasible block: need at least {MIN_BLOCK}x{MIN_BLOCK}, matrix is {m}x{n}"
         )
-    target = round(rate * m * n)
-    i0, j0, h, w = _sample_rect(m, n, _closest_area_dims(m, n, target), make_rng(seed))
+    pairs = _closest_area_dims(m, n, round(rate * m * n))
+    if (m, n) in pairs:
+        raise SpecError(f"rate {rate} would blank the whole {m}x{n} matrix")
+    i0, j0, h, w = _sample_rect(m, n, pairs, make_rng(seed))
     mask = np.ones((m, n))
     mask[i0 : i0 + h, j0 : j0 + w] = 0.0
     return mask
@@ -155,7 +158,8 @@ def _rects_overlap(a, b):
 
 
 def _place_blocks(m, n, rate, k, seed):
-    """k disjoint rectangles totalling about rate*m*n cells, or SpecError."""
+    """k disjoint rectangles totalling within 5% of round(rate*m*n) cells and
+    leaving at least one cell uncovered, or SpecError."""
     if m < MIN_BLOCK or n < MIN_BLOCK:
         raise SpecError(f"no feasible block in a {m}x{n} matrix")
     if k < 1:
@@ -163,7 +167,9 @@ def _place_blocks(m, n, rate, k, seed):
     target_total = round(rate * m * n)
     rng = make_rng(seed)
     dims = {}  # per-block target -> its _closest_area_dims, computed once
-    for _ in range(PLACE_ATTEMPTS):
+    # no placement is accepted if k blocks of the least area overshoot by > 5%
+    feasible = k * MIN_BLOCK * MIN_BLOCK - target_total <= 0.05 * target_total
+    for _ in range(PLACE_ATTEMPTS if feasible else 0):
         rects = []
         remaining = target_total
         for b in range(k):
@@ -183,7 +189,7 @@ def _place_blocks(m, n, rate, k, seed):
         if len(rects) != k:
             continue
         total = sum(h * w for _, _, h, w in rects)
-        if abs(total - target_total) <= 0.05 * target_total:
+        if abs(total - target_total) <= 0.05 * target_total and total < m * n:
             return rects
     raise SpecError(
         f"could not place {k} disjoint blocks at rate {rate} in {m}x{n}; "
@@ -201,6 +207,15 @@ def gen_multiblock(m, n, rate, k, seed) -> np.ndarray:
 
 
 def generate_mask(spec: MaskSpec, m, n) -> np.ndarray:
+    """An m x n binary mask (1 = observed) with at least one observed cell.
+
+    The missing share follows spec.rate, target = round(rate*m*n) cells:
+    scattered blanks exactly target cells; uniblock blanks one rectangle of
+    dims >= 4 whose area is the closest to target; multiblock blanks k
+    disjoint such rectangles totalling within 5% of target. A request that
+    cannot be met (a block that does not fit, a mask that would blank every
+    cell, blocks that cannot land within 5%) raises SpecError.
+    """
     if spec.pattern == "scattered":
         return gen_scattered(m, n, spec.rate, spec.seed)
     if spec.pattern == "uniblock":

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import EvaluationError, ShapeError, SpecError, ValidationError
 from .kernel import as_matrix
+from .masking import SENTINEL, _check_binary
 
 EPS_NORM = 1e-3  # lower edge of the normalized range; keeps KL away from 0
 
@@ -48,14 +49,13 @@ def normalize(x, mask):
     Each column's range is taken over its observed cells. The observed
     output is capped at 1: on subnormal data the affine map can round a
     column maximum a few ulp above it. Missing cells of the returned matrix
-    hold the 0.0 sentinel.
+    hold masking.SENTINEL.
     """
     x = as_matrix(x)
     mask = as_matrix(mask)
     if x.shape != mask.shape:
         raise ShapeError(f"data {x.shape} != mask {mask.shape}")
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise ValidationError("mask entries must be exactly 0 or 1")
+    _check_binary(mask)
     obs = mask > 0
     if not obs.any():
         raise SpecError("cannot normalize a matrix with no observed entries")
@@ -84,7 +84,7 @@ def normalize(x, mask):
     params = NormParams(col_min, span, degenerate)
     # missing cells enter as col_min, and whatever they held is never read
     out = np.minimum(params.transform(np.where(obs, x, col_min)), 1.0)
-    return np.where(obs, out, 0.0), params
+    return np.where(obs, out, SENTINEL), params
 
 
 class RmsePair(NamedTuple):

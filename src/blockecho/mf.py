@@ -98,13 +98,19 @@ def _check_observed(xv):
 def _kl_sum(xv, xh) -> float:
     """KL of observed values xv against their estimates xh, both gathered in
     the same order; xh is overwritten. Where x = 0 the log's ratio is xh / xh
-    = 1, so the cell contributes its limit xh."""
+    = 1, so the cell contributes its limit xh. Where the ratio x / xhat
+    leaves the float64 range its log is inf or -inf, and the cell takes
+    log x - log xhat instead."""
     # written so that NaN fails it too
     if not np.all((xh > 0) & (xh < np.inf)):
         raise ValidationError("estimates must be finite and strictly positive for the KL loss")
     terms = np.where(xv > 0, xv, xh)
-    terms /= xh
-    np.log(terms, out=terms)
+    with np.errstate(over="ignore", divide="ignore"):
+        terms /= xh
+        np.log(terms, out=terms)
+    lost = np.isinf(terms)
+    if lost.any():
+        terms[lost] = np.log(xv[lost]) - np.log(xh[lost])
     terms *= xv
     xh -= xv
     terms += xh

@@ -456,6 +456,11 @@ class TestTrain:
             assert len(result.loss_trace[key]) == 15
         assert np.all(np.isfinite(result.loss_trace["g_total"]))
 
+    def test_model_holds_the_trained_parts_only(self):
+        # train holds the three Adam states itself; no caller read them
+        names = [f.name for f in dataclasses.fields(G.EchoModel)]
+        assert names == ["generator", "mcl", "V", "d1", "d2"]
+
     def test_head_is_not_trained(self):
         xm, _ = toy_instance(m=10, n=6, seed=9, missing=0.5)
         pre, _ = mf.pretrain(xm, 2, max_iters=30, seed=9)

@@ -15,16 +15,16 @@ def small_net(rng, sizes=(3, 4, 2), acts=("relu", "sigmoid")):
 
 class TestForward:
     def test_zero_weights_give_activated_bias(self):
-        net = small_net(K.make_rng(1), (3, 4, 2), ("relu", "identity"))
+        net = small_net(K.make_rng(1), (3, 4, 2), ("relu", "relu"))
         for w in net.weights:
             w[:] = 0.0
         net.biases[0][:] = 0.0
         net.biases[1][:] = [[0.5, -1.5]]
         out, _ = K.net_forward(net, np.ones((5, 3)))
-        assert np.allclose(out, np.tile([0.5, -1.5], (5, 1)))
+        assert np.array_equal(out, np.tile([0.5, 0.0], (5, 1)))
 
     def test_single_neuron(self):
-        net = K.DenseNet([np.array([[2.0]])], [np.array([[1.0]])], ["identity"])
+        net = K.DenseNet([np.array([[2.0]])], [np.array([[1.0]])], ["relu"])
         out, _ = K.net_forward(net, [[3.0]])
         assert out[0, 0] == 7.0
 
@@ -48,8 +48,8 @@ class TestBackward:
         assert np.all(din == 0)
 
     def test_single_neuron_hand_gradient(self):
-        # y = w*x + b with loss = y: dL/dw = x = 3, dL/db = 1
-        net = K.DenseNet([np.array([[2.0]])], [np.array([[1.0]])], ["identity"])
+        # y = relu(w*x + b) = 7 with loss = y: dL/dw = x = 3, dL/db = 1
+        net = K.DenseNet([np.array([[2.0]])], [np.array([[1.0]])], ["relu"])
         _, cache = K.net_forward(net, [[3.0]])
         grads, _ = K.net_backward(net, cache, [[1.0]])
         assert grads[0][0][0, 0] == 3.0
@@ -68,7 +68,7 @@ class TestBackward:
         rng = K.make_rng(1000 + trial)
         n_layers = int(rng.integers(1, 4))
         sizes = [int(rng.integers(1, 17)) for _ in range(n_layers + 1)]
-        acts = [str(rng.choice(["relu", "sigmoid", "identity"])) for _ in range(n_layers)]
+        acts = [str(rng.choice(K.ACTIVATIONS)) for _ in range(n_layers)]
         net = K.init_dense(sizes, acts, rng)
         for b in net.biases:  # move away from exact relu kinks at z=0
             b += rng.standard_normal(b.shape) * 0.1
@@ -122,21 +122,15 @@ class TestSigmoidBitExact:
 
 
 def reference_activation(name, z):
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return two_branch_sigmoid(z)
-    return z
+    return np.maximum(z, 0.0) if name == "relu" else two_branch_sigmoid(z)
 
 
 def reference_activation_grad(name, z):
     """d act / d z from the pre-activation z, as the kernel once computed it."""
     if name == "relu":
         return z > 0.0
-    if name == "sigmoid":
-        s = two_branch_sigmoid(z)
-        return s * (1.0 - s)
-    return np.ones_like(z)
+    s = two_branch_sigmoid(z)
+    return s * (1.0 - s)
 
 
 def batch_major_forward(net, x):
@@ -171,8 +165,8 @@ class TestFeatureMajor:
         ((6, 6, 1), ("sigmoid", "sigmoid"), 128),
         ((16, 16, 1), ("sigmoid", "sigmoid"), 128),
         ((41, 20, 5), ("relu", "sigmoid"), 128),
-        ((1, 1), ("identity",), 7),
-        ((3, 1, 4), ("identity", "relu"), 5),
+        ((1, 1), ("relu",), 7),
+        ((3, 1, 4), ("sigmoid", "relu"), 5),
         ((5, 3), ("sigmoid",), 1),
     ])
     def test_matches_batch_major_reference(self, sizes, acts, batch):
@@ -201,7 +195,9 @@ class TestFeatureMajor:
     def test_broadcast_layers_match_rank1_product_bits(self, sizes):
         # a fan-in-1 or fan-out-1 product has no sum to reorder
         rng = K.make_rng(sizes[0] * 10 + sizes[1])
-        net = K.init_dense(list(sizes), ["identity"], rng)
+        # sigmoid: a relu's zero gradients keep their sign through the
+        # broadcast product but come back +0.0 from a matrix product's sum
+        net = K.init_dense(list(sizes), ["sigmoid"], rng)
         x = rng.standard_normal((200, sizes[0]))
         d_out = rng.standard_normal((200, sizes[1]))
         out, cache = K.net_forward(net, x)
@@ -219,7 +215,7 @@ class TestBackwardParts:
     def test_skipped_parts_are_none_and_the_rest_bit_equal(self, seed):
         rng = K.make_rng(50 + seed)
         sizes = [int(rng.integers(1, 9)) for _ in range(seed % 3 + 2)]
-        acts = [str(rng.choice(["relu", "sigmoid", "identity"])) for _ in sizes[1:]]
+        acts = [str(rng.choice(K.ACTIVATIONS)) for _ in sizes[1:]]
         net = K.init_dense(sizes, acts, rng)
         out, cache = K.net_forward(net, rng.standard_normal((6, sizes[0])))
         d_out = rng.standard_normal(out.shape)
@@ -247,7 +243,7 @@ class TestActivationCache:
 
     @pytest.mark.parametrize("sizes, acts", [
         ((3, 4, 2), ("relu", "relu")),
-        ((3, 4, 2), ("relu", "identity")),
+        ((3, 4, 2), ("relu", "sigmoid")),
         ((1, 4, 1), ("relu", "relu")),
         ((3, 2), ("relu",)),
         ((3, 4, 2), ("sigmoid", "relu")),
@@ -501,8 +497,13 @@ class TestAsMatrix:
 
 
 class TestInit:
+    def test_only_the_trained_activations_exist(self):
+        assert K.ACTIVATIONS == ("relu", "sigmoid")
+        with pytest.raises(ValidationError, match="unknown activation 'identity'"):
+            K.DenseNet([np.ones((1, 1))], [np.zeros((1, 1))], ["identity"])
+
     def test_glorot_bounds_and_zero_bias(self):
-        net = K.init_dense([8, 4], ["identity"], K.make_rng(9))
+        net = K.init_dense([8, 4], ["relu"], K.make_rng(9))
         limit = np.sqrt(6.0 / 12.0)
         assert np.all(np.abs(net.weights[0]) <= limit)
         assert np.all(net.biases[0] == 0.0)

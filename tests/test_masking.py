@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockecho import masking as M
 from blockecho.errors import ShapeError, SpecError, ValidationError
@@ -134,6 +136,12 @@ class TestUniblock:
         with pytest.raises(SpecError):
             M.gen_uniblock(3, 10, 0.5, 0)
 
+    @pytest.mark.parametrize("m, n, rate", [(4, 4, 0.5), (5, 5, 0.99), (6, 4, 0.9)])
+    def test_whole_matrix_block_rejected(self, m, n, rate):
+        # the closest-area block was the whole matrix, which came back all missing
+        with pytest.raises(SpecError, match="blank the whole"):
+            M.gen_uniblock(m, n, rate, 0)
+
     def test_deterministic(self):
         assert np.array_equal(M.gen_uniblock(20, 20, 0.5, 9), M.gen_uniblock(20, 20, 0.5, 9))
 
@@ -173,6 +181,29 @@ class TestMultiblock:
         monkeypatch.setattr(M, "_closest_area_dims", counted)
         M.gen_multiblock(m, n, rate, k, seed)
         assert targets and len(targets) == len(set(targets))
+
+    def test_blocks_never_tile_the_whole_matrix(self):
+        # two 4x4 blocks covered a 4x8 matrix, within 5% of the 32-cell target
+        with pytest.raises(SpecError):
+            M.gen_multiblock(4, 8, 0.99, 2, 0)
+
+    @pytest.mark.parametrize("m, n, rate, k", [
+        (120, 64, 0.3, 200), (120, 64, 0.3, 1000), (30, 30, 0.01, 2), (8, 8, 0.4, 2),
+    ])
+    def test_infeasible_k_draws_no_rectangle(self, monkeypatch, m, n, rate, k):
+        # k blocks of 16 cells overshoot the target by more than 5%, so no
+        # placement can be accepted; the retries once took seconds at k=200
+        draws = [0]
+        sample = M._sample_rect
+
+        def counted(*args):
+            draws[0] += 1
+            return sample(*args)
+
+        monkeypatch.setattr(M, "_sample_rect", counted)
+        with pytest.raises(SpecError, match="could not place"):
+            M.gen_multiblock(m, n, rate, k, 0)
+        assert draws[0] == 0
 
     def test_placement_failure(self):
         # a 9x9 grid fits at most four disjoint 4x4 blocks
@@ -278,3 +309,26 @@ class TestMaskSpecAndIO:
             M.MaskedMatrix([[1.0, np.nan]], [[1.0, 0.0]])
         # apply_mask replaces it
         assert M.apply_mask([[1.0, np.nan]], [[1.0, 0.0]]).values[0, 1] == M.SENTINEL
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pattern=st.sampled_from(M.PATTERNS), m=st.integers(1, 16), n=st.integers(1, 16),
+       rate=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       k=st.integers(2, 3), seed=st.integers(0, 2**16))
+@example(pattern="uniblock", m=4, n=4, rate=0.5, k=2, seed=0)
+@example(pattern="multiblock", m=4, n=8, rate=0.99, k=2, seed=0)
+def test_generate_mask_meets_its_rate_contract_or_raises_spec_error(pattern, m, n, rate, k,
+                                                                    seed):
+    spec = M.MaskSpec(pattern, rate, seed, k=k if pattern == "multiblock" else 0)
+    try:
+        mask = M.generate_mask(spec, m, n)
+    except SpecError:
+        return
+    assert mask.shape == (m, n)
+    assert np.all((mask == 0.0) | (mask == 1.0))
+    assert mask.any()
+    missing, target = int(np.sum(mask == 0.0)), round(rate * m * n)
+    if pattern == "scattered":
+        assert missing == target
+    if pattern == "multiblock":
+        assert abs(missing - target) <= 0.05 * target

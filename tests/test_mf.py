@@ -54,6 +54,30 @@ class TestKlLoss:
         # once overflowed in 1 / xhat on the way to the limit term
         assert mf.kl_loss([[0.0]], [[1e-310]], [[1.0]]) == 1e-310
 
+    @pytest.mark.parametrize("x, xhat", [
+        (1.0, 1e-310),   # x / xhat overflows
+        (1e300, 1e-10),  # x / xhat overflows
+        (1e-320, 1e10),  # x / xhat underflows to 0, whose log divided by zero
+        (1e-300, 1e10),  # x / xhat is subnormal
+    ])
+    def test_ratio_outside_float64_range_gives_finite_loss(self, x, xhat):
+        # filterwarnings = error turns a stray RuntimeWarning into a failure
+        val = mf.kl_loss([[x]], [[xhat]], [[1.0]])
+        ref = x * (math.log(x) - math.log(xhat)) - x + xhat
+        assert math.isfinite(val)
+        assert val == pytest.approx(ref, rel=1e-12)
+
+    def test_ratio_fallback_leaves_other_cells_bit_exact(self):
+        x = np.array([[0.3, 1.0, 0.0, 0.7]])
+        xhat = np.array([[0.5, 1e-310, 0.2, 0.9]])
+        ones = np.ones((1, 4))
+        split = mf.kl_loss(x[:, 1:2], xhat[:, 1:2], ones[:, :1])
+        rest = np.array([[0.3, 0.0, 0.7]]), np.array([[0.5, 0.2, 0.9]])
+        terms = rest[0] * np.log(np.where(rest[0] > 0, rest[0], rest[1]) / rest[1])
+        terms += rest[1] - rest[0]
+        expected = np.array([[terms[0, 0], split, terms[0, 1], terms[0, 2]]]).sum()
+        assert mf.kl_loss(x, xhat, ones) == expected
+
     @pytest.mark.parametrize("x", [0.0, 0.5])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_estimate_rejected(self, x, bad):
