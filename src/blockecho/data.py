@@ -1,4 +1,8 @@
-"""Dataset ingestion, synthetic corpora and the downstream forecasting task.
+"""CSV ingestion, synthetic corpora and the downstream forecasting task.
+
+A matrix with missing cells is a masking.MaskedMatrix: load_csv marks its
+empty, NaN and infinite cells missing, and gen_synthetic returns a fully
+observed one.
 
 Synthetic generators mimic three data regimes at desk scale, each built
 from a kind, a size and a seed alone: plain low-rank matrices, traffic-style
@@ -34,35 +38,6 @@ DAY_PERIOD = 24  # rows per synthetic "day"
 KNN_K = 5  # neighbors the downstream forecaster averages
 
 
-@dataclass
-class Dataset:
-    """A value matrix with labels; NaN entries are inherently missing."""
-
-    values: np.ndarray
-    row_labels: list
-    col_labels: list
-
-    def __post_init__(self):
-        self.values = as_matrix(self.values)
-        m, n = self.values.shape
-        if len(self.row_labels) != m or len(self.col_labels) != n:
-            raise ValidationError(
-                f"label counts ({len(self.row_labels)}, {len(self.col_labels)}) "
-                f"do not match matrix {m}x{n}"
-            )
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    @property
-    def inherent_mask(self) -> np.ndarray:
-        return np.isfinite(self.values).astype(np.float64)
-
-    def masked(self) -> MaskedMatrix:
-        return apply_mask(self.values, self.inherent_mask)
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     kind: str
@@ -78,13 +53,10 @@ class SyntheticSpec:
             raise SpecError(f"matrix size {self.m}x{self.n} is empty")
 
 
-def _default_labels(m, n):
-    return [f"t{i:04d}" for i in range(m)], [f"c{j:03d}" for j in range(n)]
-
-
-def gen_synthetic(spec: SyntheticSpec) -> Dataset:
+def gen_synthetic(spec: SyntheticSpec) -> MaskedMatrix:
     """Deterministic positive synthetic matrix for the requested regime, of
-    rank min(SYNTHETIC_RANK, m, n) before any saturation or bursts."""
+    rank min(SYNTHETIC_RANK, m, n) before any saturation or bursts, with
+    every cell observed."""
     factor_rng, shape_rng = spawn_rngs(spec.seed, 2)
     m, n = spec.m, spec.n
     r = min(SYNTHETIC_RANK, m, n)
@@ -117,13 +89,12 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
             j = int(shape_rng.integers(n))
             x[i0 : i0 + span, j] *= shape_rng.uniform(2.0, 5.0)
 
-    rows, cols = _default_labels(m, n)
-    return Dataset(x, rows, cols)
+    return MaskedMatrix(x, np.ones((m, n)))
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion. RFC-4180-style, '.' decimal separator; an empty cell or the
-# token NaN (any case) marks an inherently missing value.
+# CSV ingestion. RFC-4180-style, '.' decimal separator; an empty cell, the
+# token NaN (any case) or an infinite value marks a missing cell.
 
 def _parse_cell(token, line_no, col_no):
     token = token.strip()
@@ -137,26 +108,23 @@ def _parse_cell(token, line_no, col_no):
         ) from None
 
 
-def load_csv(path, header=False, index=False) -> Dataset:
-    """Rectangular numeric CSV -> Dataset. Ragged rows are rejected."""
+def load_csv(path, header=False, index=False) -> MaskedMatrix:
+    """Rectangular numeric CSV -> MaskedMatrix whose missing cells are the
+    empty, NaN and infinite ones. header skips the first row, index the
+    first column; ragged rows are rejected."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    col_labels = None
-    if header and rows:
-        col_labels = [c.strip() for c in rows.pop(0)[1]]
-        if index and col_labels:
-            col_labels = col_labels[1:]
+    # the data columns the header names; the index column's cell is not one
+    named = len(rows.pop(0)[1]) - bool(index) if header and rows else None
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    row_labels = []
     data = []
     width = None
     for line_no, row in rows:
         if index:
-            row_labels.append(row[0].strip())
             row = row[1:]
         if width is None:
             width = len(row)
@@ -165,15 +133,10 @@ def load_csv(path, header=False, index=False) -> Dataset:
         data.append([_parse_cell(tok, line_no, j + 1) for j, tok in enumerate(row)])
     if not width:
         raise ParseError(f"{path}: rows hold no data cells")
+    if named is not None and named != width:
+        raise ParseError(f"{path}: header names {named} data columns for {width}")
     values = as_matrix(data)
-    m, n = values.shape
-    if not row_labels:
-        row_labels = _default_labels(m, n)[0]
-    if not col_labels:
-        col_labels = _default_labels(m, n)[1]
-    if len(col_labels) != n:
-        raise ParseError(f"header has {len(col_labels)} labels for {n} columns")
-    return Dataset(values, row_labels, col_labels)
+    return apply_mask(values, np.isfinite(values))
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,11 @@ class RmsePair(NamedTuple):
 
 
 def rmse_missing(imputed, truth, mask) -> RmsePair:
-    """The RMSE over the missing (mask == 0) cells."""
+    """The RMSE over the missing (mask == 0) cells.
+
+    Both inputs must be finite on those cells; EvaluationError if the sum
+    of squares overflows float64.
+    """
     imputed = as_matrix(imputed)
     truth = as_matrix(truth)
     mask = as_matrix(mask)
@@ -104,8 +108,16 @@ def rmse_missing(imputed, truth, mask) -> RmsePair:
     count = int(miss.sum())
     if count == 0:
         raise EvaluationError("no missing cells to evaluate")
-    err = imputed[miss] - truth[miss]
-    return RmsePair(np.sqrt(float(np.sum(err * err)) / count))
+    # a non-finite input or an overflow leaves the sum inf or NaN; the two
+    # are told apart only then, so a finite sum costs no extra pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = imputed[miss] - truth[miss]
+        total = float(np.sum(err * err))
+    if not total < np.inf:
+        if not (np.all(np.isfinite(imputed[miss])) and np.all(np.isfinite(truth[miss]))):
+            raise ValidationError("imputed and truth must be finite on the missing cells")
+        raise EvaluationError("RMSE overflows float64 at this scale")
+    return RmsePair(np.sqrt(total / count))
 
 
 def wmape(pred, actual) -> float:

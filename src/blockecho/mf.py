@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SpecError, ValidationError
+from .errors import EvaluationError, ShapeError, SpecError, ValidationError
 from .kernel import as_matrix, make_rng, require_int, require_real
 from .masking import MaskedMatrix, apply_mask
 
@@ -100,7 +100,7 @@ def _kl_sum(xv, xh) -> float:
     the same order; xh is overwritten. Where x = 0 the log's ratio is xh / xh
     = 1, so the cell contributes its limit xh. Where the ratio x / xhat
     leaves the float64 range its log is inf or -inf, and the cell takes
-    log x - log xhat instead."""
+    log x - log xhat instead. EvaluationError if the loss overflows."""
     # written so that NaN fails it too
     if not np.all((xh > 0) & (xh < np.inf)):
         raise ValidationError("estimates must be finite and strictly positive for the KL loss")
@@ -111,10 +111,14 @@ def _kl_sum(xv, xh) -> float:
     lost = np.isinf(terms)
     if lost.any():
         terms[lost] = np.log(xv[lost]) - np.log(xh[lost])
-    terms *= xv
-    xh -= xv
-    terms += xh
-    return float(terms.sum())
+    with np.errstate(over="ignore"):
+        terms *= xv
+        xh -= xv
+        terms += xh
+        total = float(terms.sum())
+    if not np.isfinite(total):
+        raise EvaluationError("the KL loss overflows float64 at this scale")
+    return total
 
 
 def _dead_axis_warning(kind, count):

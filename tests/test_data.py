@@ -11,21 +11,21 @@ class TestLoadCsv:
     def test_plain_2x2(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("1,2\n3,4\n")
-        ds = D.load_csv(p)
-        assert np.array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
-        assert np.all(ds.inherent_mask == 1.0)
+        xm = D.load_csv(p)
+        assert np.array_equal(xm.values, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.all(xm.mask == 1.0)
 
     def test_empty_cell_marks_missing(self, tmp_path):
         p = tmp_path / "b.csv"
         p.write_text("1,,2\n3,4,5\n")
-        ds = D.load_csv(p)
-        assert ds.inherent_mask[0, 1] == 0.0
-        assert ds.inherent_mask.sum() == 5
+        xm = D.load_csv(p)
+        assert xm.mask[0, 1] == 0.0
+        assert xm.mask.sum() == 5
 
     def test_nan_token_marks_missing(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("1,NaN\n2,3\n")
-        assert D.load_csv(p).inherent_mask[0, 1] == 0.0
+        assert D.load_csv(p).mask[0, 1] == 0.0
 
     def test_ragged_row_rejected_with_line(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -47,10 +47,10 @@ class TestLoadCsv:
         lines = (",".join(f"{v:.17g}" if k else "" for v, k in zip(row, keep))
                  for row, keep in zip(x, mask))
         p.write_text("\n".join(lines) + "\n")
-        ds = D.load_csv(p)
-        assert np.array_equal(ds.inherent_mask, mask)
+        xm = D.load_csv(p)
+        assert np.array_equal(xm.mask, mask)
         obs = mask > 0
-        assert np.array_equal(ds.values[obs], x[obs])
+        assert np.array_equal(xm.values[obs], x[obs])
 
     def test_header_only_has_no_data_rows(self, tmp_path):
         p = tmp_path / "h.csv"
@@ -78,17 +78,26 @@ class TestLoadCsv:
     def test_header_and_index(self, tmp_path):
         p = tmp_path / "g.csv"
         p.write_text("id,s1,s2\nr0,1,2\nr1,3,4\n")
-        ds = D.load_csv(p, header=True, index=True)
-        assert ds.col_labels == ["s1", "s2"]
-        assert ds.row_labels == ["r0", "r1"]
-        assert np.array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
+        xm = D.load_csv(p, header=True, index=True)
+        assert np.array_equal(xm.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("text, index", [
+        ("id\nr0,1,2\nr1,3,4\n", True),  # once loaded: the header names 0 data columns
+        ("s1\n1,2\n3,4\n", False),
+        ("id,s1,s2,s3\nr0,1,2\nr1,3,4\n", True),
+    ])
+    def test_header_width_must_match_data(self, tmp_path, text, index):
+        p = tmp_path / "header.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="header.csv: header names"):
+            D.load_csv(p, header=True, index=index)
 
     def test_masked_blanks_empty_nan_and_inf_cells(self, tmp_path):
-        # the bridge from a loaded file to the imputer: every non-finite
+        # a loaded file is the imputer's input: every non-finite
         # cell is missing and holds the sentinel, the rest are copied as is
         p = tmp_path / "m.csv"
         p.write_text("0.1,,2.5e-3\nnan,7,inf\n-3,1e300,-inf\n")
-        xm = D.load_csv(p).masked()
+        xm = D.load_csv(p)
         assert np.array_equal(xm.mask, [[1, 0, 1], [0, 1, 0], [1, 1, 0]])
         assert np.all(xm.values[xm.mask == 0] == SENTINEL)
         obs = xm.mask > 0
@@ -117,6 +126,7 @@ class TestSynthetic:
         spec = D.SyntheticSpec(kind, 48, 10, seed=5)
         a = D.gen_synthetic(spec)
         b = D.gen_synthetic(spec)
+        assert np.all(a.mask == 1.0)
         assert np.all(a.values > 0)
         assert np.array_equal(a.values, b.values)
 

@@ -128,12 +128,28 @@ class TestRmse:
         mask[2, 2] = 0.0
         imputed[2, 2] = 0.9
         base = MT.rmse_missing(imputed, truth, mask)
-        imputed[0, 0] = 123.0  # observed cell, must not matter
+        imputed[0, 0] = 123.0  # observed cells, must not matter
+        imputed[0, 1] = np.nan
+        truth[1, 0] = np.inf
         assert MT.rmse_missing(imputed, truth, mask) == base
 
     def test_no_missing_cells(self):
         with pytest.raises(EvaluationError):
             MT.rmse_missing(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
+
+    def test_overflow_is_evaluation_error(self):
+        # once warned of overflow in multiply
+        with pytest.raises(EvaluationError, match="overflows"):
+            MT.rmse_missing([[1e200]], [[0.0]], [[0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("arg", [0, 1], ids=["imputed", "truth"])
+    def test_non_finite_missing_cell_rejected(self, arg, bad):
+        # a bad estimate once returned nan or inf
+        args = [[[0.0, 0.5]], [[0.0, 0.5]], [[0.0, 0.0]]]
+        args[arg] = [[bad, 0.5]]
+        with pytest.raises(ValidationError, match="finite"):
+            MT.rmse_missing(*args)
 
 
 class TestWmape:

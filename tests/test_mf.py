@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blockecho import mf
-from blockecho.errors import ShapeError, SpecError, ValidationError
+from blockecho.errors import EvaluationError, ShapeError, SpecError, ValidationError
 from blockecho.masking import MaskedMatrix, apply_mask, gen_scattered, gen_uniblock
 from blockecho.metrics import normalize, rmse_missing
 
@@ -77,6 +77,15 @@ class TestKlLoss:
         terms += rest[1] - rest[0]
         expected = np.array([[terms[0, 0], split, terms[0, 1], terms[0, 2]]]).sum()
         assert mf.kl_loss(x, xhat, ones) == expected
+
+    @pytest.mark.parametrize("x, xhat", [
+        ([[1e308]], [[1e-308]]),                 # the ratio's fallback term overflows
+        ([[1e308, 1e308]], [[1.0, 1.0]]),        # x * log(x / xhat) overflows
+    ])
+    def test_overflowing_loss_is_evaluation_error(self, x, xhat):
+        # once warned of overflow in multiply and returned inf
+        with pytest.raises(EvaluationError, match="overflows"):
+            mf.kl_loss(x, xhat, np.ones_like(x))
 
     @pytest.mark.parametrize("x", [0.0, 0.5])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
