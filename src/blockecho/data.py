@@ -89,7 +89,7 @@ def gen_synthetic(spec: SyntheticSpec) -> MaskedMatrix:
             j = int(shape_rng.integers(n))
             x[i0 : i0 + span, j] *= shape_rng.uniform(2.0, 5.0)
 
-    return MaskedMatrix(x, np.ones((m, n)))
+    return MaskedMatrix(x, np.ones((m, n), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +111,15 @@ def _parse_cell(token, line_no, col_no):
 def load_csv(path, header=False, index=False) -> MaskedMatrix:
     """Rectangular numeric CSV -> MaskedMatrix whose missing cells are the
     empty, NaN and infinite ones. header skips the first row, index the
-    first column; ragged rows are rejected."""
+    first column; ragged rows are rejected. A file that cannot be opened
+    or read as UTF-8 text raises ParseError naming the path."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ParseError(f"{path}: cannot read ({exc.strerror})") from None
     # the data columns the header names; the index column's cell is not one
     named = len(rows.pop(0)[1]) - bool(index) if header and rows else None
     if not rows:

@@ -318,10 +318,9 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     Returns (EchoModel, ImputationResult); deterministic per seed.
     """
     t0 = time.perf_counter()
-    values, mask = xm.values, xm.mask
+    values, obs = xm.values, xm.mask
     m, n = values.shape
     cfg = cfg.resolved(m, n)
-    obs = mask > 0
     if not obs.any():
         raise SpecError("cannot train on a matrix with no observed entries")
     ov = values[obs]
@@ -340,6 +339,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     # c > 0 since FactorPair holds U >= EPS_FLOOR
     c = float(pre.U.max()) / 0.95
     pre = FactorPair(np.maximum(pre.U / c, EPS_FLOOR), np.maximum(pre.V * c, EPS_FLOOR))
+    mask = obs.astype(np.float64)  # net inputs, targets and losses read 0.0/1.0
 
     init_rng, batch_rng, noise_rng, hint_rng, y_rng = spawn_rngs(cfg.seed, 5)
     model = build_model(cfg, pre, init_rng)

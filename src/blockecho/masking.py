@@ -1,8 +1,11 @@
 """Mask generation and masked-matrix assembly.
 
-A mask is an m x n matrix of exact {0, 1} values, 1 = observed. Three
-missingness patterns are supported: scattered cells, a single contiguous
-block, and k separate blocks. Blocks are rectangles of at least 4x4 cells
+A mask is an m x n bool matrix, True = observed: one byte per cell. Every
+function that takes a mask also accepts exact {0, 1} numbers, which it
+reads as False/True. Being bool, a mask does not negate with -mask (that
+raises; use ~mask), and 1 - mask is an int array. Three missingness
+patterns are supported: scattered cells, a single contiguous block, and k
+separate blocks. Blocks are rectangles of at least 4x4 cells
 (the minimum extent that counts as block-wise rather than scattered).
 
 Missing entries of a masked matrix hold a 0.0 sentinel so they can be fed
@@ -42,18 +45,23 @@ class MaskSpec:
 
 @dataclass
 class MaskedMatrix:
-    """Finite observed values plus their binary mask; missing cells hold the sentinel."""
+    """Finite observed values plus their mask; missing cells hold the sentinel.
+
+    The mask may be given as bool or as exact 0/1 numbers; it is stored as
+    a new bool array, True = observed, so the caller's array is never held.
+    """
 
     values: np.ndarray
     mask: np.ndarray
 
     def __post_init__(self):
         self.values = as_matrix(self.values)
-        self.mask = as_matrix(self.mask)
-        if self.values.shape != self.mask.shape:
-            raise ShapeError(f"values {self.values.shape} != mask {self.mask.shape}")
-        _check_binary(self.mask)
-        if not np.all(self.values[self.mask == 0] == SENTINEL):
+        mask = as_matrix(self.mask)
+        if self.values.shape != mask.shape:
+            raise ShapeError(f"values {self.values.shape} != mask {mask.shape}")
+        _check_binary(mask)
+        self.mask = mask > 0
+        if not np.all(self.values[~self.mask] == SENTINEL):
             raise ValidationError("missing entries must hold the sentinel value")
         # missing cells hold the finite sentinel, so this checks observed ones
         if not np.all(np.isfinite(self.values)):
@@ -109,7 +117,7 @@ def gen_scattered(m, n, rate, seed) -> np.ndarray:
     target = round(rate * m * n)
     if target >= m * n:
         raise SpecError(f"rate {rate} would blank the whole {m}x{n} matrix")
-    return np.where(_lowest(make_rng(seed).random((m, n)), target), 0.0, 1.0)
+    return ~_lowest(make_rng(seed).random((m, n)), target)
 
 
 def _closest_area_dims(m, n, target):
@@ -145,8 +153,8 @@ def gen_uniblock(m, n, rate, seed) -> np.ndarray:
     if (m, n) in pairs:
         raise SpecError(f"rate {rate} would blank the whole {m}x{n} matrix")
     i0, j0, h, w = _sample_rect(m, n, pairs, make_rng(seed))
-    mask = np.ones((m, n))
-    mask[i0 : i0 + h, j0 : j0 + w] = 0.0
+    mask = np.ones((m, n), dtype=bool)
+    mask[i0 : i0 + h, j0 : j0 + w] = False
     return mask
 
 
@@ -200,14 +208,14 @@ def _place_blocks(m, n, rate, k, seed):
 def gen_multiblock(m, n, rate, k, seed) -> np.ndarray:
     """k disjoint missing rectangles, each >= 4x4, total within 5% of target."""
     _check_args(m, n, rate, k=k)
-    mask = np.ones((m, n))
+    mask = np.ones((m, n), dtype=bool)
     for i0, j0, h, w in _place_blocks(m, n, rate, k, seed):
-        mask[i0 : i0 + h, j0 : j0 + w] = 0.0
+        mask[i0 : i0 + h, j0 : j0 + w] = False
     return mask
 
 
 def generate_mask(spec: MaskSpec, m, n) -> np.ndarray:
-    """An m x n binary mask (1 = observed) with at least one observed cell.
+    """An m x n bool mask (True = observed) with at least one observed cell.
 
     The missing share follows spec.rate, target = round(rate*m*n) cells:
     scattered blanks exactly target cells; uniblock blanks one rectangle of
@@ -226,13 +234,14 @@ def generate_mask(spec: MaskSpec, m, n) -> np.ndarray:
 def apply_mask(x, mask) -> MaskedMatrix:
     """Copy observed entries bit-exactly, put the sentinel elsewhere.
 
-    MaskedMatrix checks that the mask is binary; the shape check comes
-    first, since np.where would broadcast mismatched shapes.
+    MaskedMatrix checks that the mask is binary and stores it as a new
+    bool array; the shape check comes first, since np.where would broadcast
+    mismatched shapes.
     """
     x = as_matrix(x)
     mask = as_matrix(mask)
     if x.shape != mask.shape:
         raise ShapeError(f"data {x.shape} != mask {mask.shape}")
     values = np.where(mask > 0, x, SENTINEL)
-    return MaskedMatrix(values, mask.copy())
+    return MaskedMatrix(values, mask)
 

@@ -143,9 +143,9 @@ def mu_step(x, mask, factors: FactorPair) -> FactorPair:
     U, V = factors.U, factors.V
     if xm.shape != (U.shape[0], V.shape[1]):
         raise ShapeError(f"data {xm.shape} and factors {U.shape}/{V.shape} differ")
-    obs = xm.mask > 0
+    obs = xm.mask
     _check_observed(xm.values[obs])
-    U2, V2 = _mu_update(xm.values, xm.mask, U, V, U @ V)
+    U2, V2 = _mu_update(xm.values, obs.astype(np.float64), U, V, U @ V)
     for kind, axis in (("rows", 1), ("columns", 0)):
         dead = int(np.sum(~obs.any(axis=axis)))
         if dead:
@@ -155,7 +155,9 @@ def mu_step(x, mask, factors: FactorPair) -> FactorPair:
 
 def _mu_update(x, mask, U, V, xhat):
     """Both half-updates of mu_step from xhat = U @ V, which is overwritten;
-    x holds 0 in its unobserved cells, and mask is binary. Returns (U', V').
+    x holds 0 in its unobserved cells, and mask is a float64 0.0/1.0 copy
+    of the bool mask, which mu_step and pretrain each make once per call.
+    Returns (U', V').
 
     Since every factor entry is >= EPS_FLOOR, an update denominator is
     positive exactly on a row or column with an observed cell; the other
@@ -222,13 +224,13 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
     if not 0.0 <= tol < np.inf:  # written so that NaN fails it too
         raise SpecError(f"tol must be finite and >= 0, got {tol}")
     max_iters = int(max_iters)  # so that MfTrace.iterations is a Python int
-    x, mask = xm.values, xm.mask
-    obs = mask > 0
+    x, obs = xm.values, xm.mask
     if not obs.any():
         raise SpecError("cannot factorize: the mask has no observed entries")
     # loss checks gather by flat index, 5x faster than by obs at 720x64
     idx = np.flatnonzero(obs)
     xv = _check_observed(x.ravel()[idx])
+    mask = obs.astype(np.float64)  # the updates' products read 0.0/1.0
     # the updates floor U and V at EPS_FLOOR, so FactorPair checks them once, at return
     init = init_factors(x, mask, h, seed)
     U, V = init.U, init.V

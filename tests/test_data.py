@@ -72,8 +72,16 @@ class TestLoadCsv:
             D.load_csv(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        # once a stray FileNotFoundError
+        with pytest.raises(ParseError, match="absent.csv: cannot read"):
             D.load_csv(tmp_path / "absent.csv")
+
+    def test_directory_is_parse_error(self, tmp_path):
+        # once a stray IsADirectoryError
+        d = tmp_path / "dir.csv"
+        d.mkdir()
+        with pytest.raises(ParseError, match="dir.csv: cannot read"):
+            D.load_csv(d)
 
     def test_header_and_index(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -98,6 +106,7 @@ class TestLoadCsv:
         p = tmp_path / "m.csv"
         p.write_text("0.1,,2.5e-3\nnan,7,inf\n-3,1e300,-inf\n")
         xm = D.load_csv(p)
+        assert xm.mask.dtype == bool and xm.mask.nbytes == 3 * 3
         assert np.array_equal(xm.mask, [[1, 0, 1], [0, 1, 0], [1, 1, 0]])
         assert np.all(xm.values[xm.mask == 0] == SENTINEL)
         obs = xm.mask > 0
@@ -126,6 +135,7 @@ class TestSynthetic:
         spec = D.SyntheticSpec(kind, 48, 10, seed=5)
         a = D.gen_synthetic(spec)
         b = D.gen_synthetic(spec)
+        assert a.mask.dtype == bool and a.mask.nbytes == 48 * 10
         assert np.all(a.mask == 1.0)
         assert np.all(a.values > 0)
         assert np.array_equal(a.values, b.values)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blockecho import gan, metrics, mf
 from blockecho import masking as M
+from blockecho.data import SyntheticSpec, gen_synthetic
 from blockecho.errors import ShapeError, SpecError, ValidationError
 from blockecho.kernel import make_rng
 
@@ -245,6 +247,77 @@ class TestApplyMask:
         mm = M.apply_mask(x, mask)
         obs = mask > 0
         assert np.array_equal(mm.values[obs], x[obs])
+
+
+class TestMaskIsBool:
+    """A mask is stored and generated as bool, one byte per cell."""
+
+    @staticmethod
+    def assert_bool_mask(mask, m, n):
+        assert mask.dtype == bool and mask.nbytes == m * n
+
+    @pytest.mark.parametrize("spec", [
+        M.MaskSpec("scattered", 0.3, 1), M.MaskSpec("uniblock", 0.3, 1),
+        M.MaskSpec("multiblock", 0.3, 1, k=3),
+    ], ids=M.PATTERNS)
+    def test_generate_mask(self, spec):
+        self.assert_bool_mask(M.generate_mask(spec, 40, 24), 40, 24)
+
+    @pytest.mark.parametrize("mask", [
+        [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [[1, 0, 1], [0, 1, 1]],
+        [[True, False, True], [False, True, True]],
+    ], ids=["float", "int", "bool"])
+    def test_apply_mask_and_masked_matrix(self, mask):
+        x = np.arange(1.0, 7.0).reshape(2, 3)
+        xm = M.apply_mask(x, mask)
+        self.assert_bool_mask(xm.mask, 2, 3)
+        assert np.array_equal(xm.mask, np.array(mask) > 0)
+        built = M.MaskedMatrix(xm.values, mask)
+        self.assert_bool_mask(built.mask, 2, 3)
+        assert np.array_equal(built.mask, xm.mask)
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    def test_apply_mask_holds_no_view_of_the_callers_mask(self, dtype):
+        caller = np.ones((3, 4), dtype=dtype)
+        xm = M.apply_mask(np.ones((3, 4)), caller)
+        caller[1, 2] = 0
+        assert xm.mask.all()
+        built = M.MaskedMatrix(caller * 1.0, caller)
+        caller[:] = 1
+        assert not built.mask[1, 2]
+
+
+def _bits(obj):
+    """Every number in obj as raw bytes, for a bit-for-bit comparison; obj is
+    an array, a float, a tuple or a dataclass of them."""
+    if isinstance(obj, np.ndarray):
+        return [obj.dtype.str, obj.shape, obj.tobytes()]
+    if isinstance(obj, (float, np.floating)):
+        return [np.float64(obj).tobytes()]
+    if isinstance(obj, tuple):
+        return [b for item in obj for b in _bits(item)]
+    return _bits(tuple(vars(obj).values()))
+
+
+_X = gen_synthetic(SyntheticSpec("periodic_traffic", 12, 8, seed=3)).values
+_MASK = M.gen_scattered(12, 8, 0.3, 2)
+_XN = metrics.normalize(_X, _MASK)[0]
+_FACTORS = mf.init_factors(_XN, _MASK, 3, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda mask: metrics.normalize(_X, mask),
+    lambda mask: metrics.rmse_missing(_X[::-1], _X, mask),
+    lambda mask: mf.kl_loss(_XN, _FACTORS.U @ _FACTORS.V, mask),
+    lambda mask: mf.init_factors(_XN, mask, 3, 5),
+    lambda mask: mf.mu_step(_XN, mask, _FACTORS),
+    lambda mask: gan.build_hint(mask, make_rng(4)),
+    lambda mask: M.apply_mask(_X, mask),
+], ids=["normalize", "rmse_missing", "kl_loss", "init_factors", "mu_step", "build_hint",
+        "apply_mask"])
+def test_bool_and_float_masks_give_identical_results(call):
+    assert _MASK.dtype == bool
+    assert _bits(call(_MASK)) == _bits(call(_MASK.astype(np.float64)))
 
 
 class TestMaskSpecAndIO:
