@@ -58,7 +58,7 @@ from .kernel import (
     spawn_rngs,
     uniform,
 )
-from .masking import MaskedMatrix
+from .masking import MaskedMatrix, as_mask
 from .metrics import EPS_NORM
 from .mf import DEFAULT_TOL, EPS_FLOOR, FactorPair, kl_loss
 
@@ -148,7 +148,7 @@ class ImputationResult:
 def build_hint(mask, rng) -> np.ndarray:
     """Copy of the mask with each entry kept with probability HINT_RATE and
     otherwise blanked to 1/2."""
-    mask = as_matrix(mask)
+    mask = as_mask(mask, np.shape(mask))
     return np.where(rng.random(mask.shape) < HINT_RATE, mask, 0.5)
 
 
@@ -156,14 +156,9 @@ def mix_rows(u_p, u, y) -> np.ndarray:
     """Row i of the result is u_p's row where y_i = 1, else u's row."""
     u_p = as_matrix(u_p)
     u = as_matrix(u)
-    y = as_matrix(y)
     if u_p.shape != u.shape:
         raise ShapeError(f"embedding shapes differ: {u_p.shape} vs {u.shape}")
-    if y.shape != (u.shape[0], 1):
-        raise ShapeError(f"indicator must be {(u.shape[0], 1)}, got {y.shape}")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValidationError("row indicator entries must be exactly 0 or 1")
-    return np.where(y > 0, u_p, u)
+    return np.where(as_mask(y, (u.shape[0], 1)), u_p, u)
 
 
 def _clip_unit(p):
@@ -243,7 +238,7 @@ def _g_objective(model, x, mask, z, hint, y, u_p, alpha):
 
     if alpha > 0.0:
         # kl_loss and the division need xhat > 0: the head's floor is EPS_NORM
-        recon = kl_loss(x, xhat, mask)
+        recon = kl_loss(x, xhat, mask > 0)
         d_xhat += alpha * np.where(mask > 0, 1.0 - x / xhat, 0.0)
 
     _, d_flat = net_backward(model.mcl, mcl_cache, d_xhat.reshape(-1, 1), params=False)
@@ -361,7 +356,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
         if cfg.alpha < 1.0:
             u, _ = net_forward(model.generator, np.hstack([xb, mb, zb]))
             xhat, _ = _head(model, u)
-            hb = build_hint(mb, hint_rng)
+            hb = build_hint(mb > 0, hint_rng)
             xbar = np.hstack([_assemble(xb, mb, xhat), hb])
             d2_val = _d_step(model.d2, opt_d2, "d2", xbar, mb)
             yb = (y_rng.random((cfg.batch_rows, 1)) < 0.5).astype(np.float64)

@@ -1,12 +1,13 @@
 """Mask generation and masked-matrix assembly.
 
 A mask is an m x n bool matrix, True = observed: one byte per cell. Every
-function that takes a mask also accepts exact {0, 1} numbers, which it
-reads as False/True. Being bool, a mask does not negate with -mask (that
-raises; use ~mask), and 1 - mask is an int array. Three missingness
-patterns are supported: scattered cells, a single contiguous block, and k
-separate blocks. Blocks are rectangles of at least 4x4 cells
-(the minimum extent that counts as block-wise rather than scattered).
+function that takes a mask checks it with as_mask, which also accepts
+exact {0, 1} numbers and reads them as False/True. Being bool, a mask does
+not negate with -mask (that raises; use ~mask), and 1 - mask is an int
+array. Three missingness patterns are supported: scattered cells, a single
+contiguous block, and k separate blocks. Blocks are rectangles of at least
+4x4 cells (the minimum extent that counts as block-wise rather than
+scattered).
 
 Missing entries of a masked matrix hold a 0.0 sentinel so they can be fed
 to networks directly.
@@ -47,8 +48,8 @@ class MaskSpec:
 class MaskedMatrix:
     """Finite observed values plus their mask; missing cells hold the sentinel.
 
-    The mask may be given as bool or as exact 0/1 numbers; it is stored as
-    a new bool array, True = observed, so the caller's array is never held.
+    The mask is read by as_mask and stored as a copy, so the caller's array
+    is never held.
     """
 
     values: np.ndarray
@@ -56,11 +57,7 @@ class MaskedMatrix:
 
     def __post_init__(self):
         self.values = as_matrix(self.values)
-        mask = as_matrix(self.mask)
-        if self.values.shape != mask.shape:
-            raise ShapeError(f"values {self.values.shape} != mask {mask.shape}")
-        _check_binary(mask)
-        self.mask = mask > 0
+        self.mask = as_mask(self.mask, self.values.shape).copy()
         if not np.all(self.values[~self.mask] == SENTINEL):
             raise ValidationError("missing entries must hold the sentinel value")
         # missing cells hold the finite sentinel, so this checks observed ones
@@ -72,9 +69,22 @@ class MaskedMatrix:
         return self.values.shape
 
 
-def _check_binary(mask):
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise ValidationError("mask entries must be exactly 0 or 1")
+def as_mask(mask, shape) -> np.ndarray:
+    """mask as a bool matrix of the given shape, True = observed.
+
+    A bool array is returned as is, without a copy. Anything else goes
+    through as_matrix and must hold exact 0/1 numbers. The shape is checked
+    before the entries: np.where would broadcast a mask of another shape.
+    """
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
+        mask = as_matrix(mask)
+    if mask.ndim != 2 or mask.shape != shape:
+        raise ShapeError(f"mask is {mask.shape}, expected a 2-D {shape}")
+    if mask.dtype != bool:
+        if not np.all((mask == 0.0) | (mask == 1.0)):
+            raise ValidationError("mask entries must be exactly 0 or 1")
+        mask = mask > 0
+    return mask
 
 
 def _check_rate(rate, **ints):
@@ -232,16 +242,8 @@ def generate_mask(spec: MaskSpec, m, n) -> np.ndarray:
 
 
 def apply_mask(x, mask) -> MaskedMatrix:
-    """Copy observed entries bit-exactly, put the sentinel elsewhere.
-
-    MaskedMatrix checks that the mask is binary and stores it as a new
-    bool array; the shape check comes first, since np.where would broadcast
-    mismatched shapes.
-    """
+    """Copy observed entries bit-exactly, put the sentinel elsewhere."""
     x = as_matrix(x)
-    mask = as_matrix(mask)
-    if x.shape != mask.shape:
-        raise ShapeError(f"data {x.shape} != mask {mask.shape}")
-    values = np.where(mask > 0, x, SENTINEL)
-    return MaskedMatrix(values, mask)
+    mask = as_mask(mask, x.shape)
+    return MaskedMatrix(np.where(mask, x, SENTINEL), mask)
 

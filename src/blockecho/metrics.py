@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import EvaluationError, ShapeError, SpecError, ValidationError
 from .kernel import as_matrix
-from .masking import SENTINEL, _check_binary
+from .masking import SENTINEL, as_mask
 
 EPS_NORM = 1e-3  # lower edge of the normalized range; keeps KL away from 0
 
@@ -52,11 +52,7 @@ def normalize(x, mask):
     hold masking.SENTINEL.
     """
     x = as_matrix(x)
-    mask = as_matrix(mask)
-    if x.shape != mask.shape:
-        raise ShapeError(f"data {x.shape} != mask {mask.shape}")
-    _check_binary(mask)
-    obs = mask > 0
+    obs = as_mask(mask, x.shape)
     if not obs.any():
         raise SpecError("cannot normalize a matrix with no observed entries")
     if not np.all(np.isfinite(x[obs])):
@@ -99,12 +95,9 @@ def rmse_missing(imputed, truth, mask) -> RmsePair:
     """
     imputed = as_matrix(imputed)
     truth = as_matrix(truth)
-    mask = as_matrix(mask)
-    if not imputed.shape == truth.shape == mask.shape:
-        raise ShapeError(
-            f"shape mismatch: imputed {imputed.shape}, truth {truth.shape}, mask {mask.shape}"
-        )
-    miss = mask == 0
+    if imputed.shape != truth.shape:
+        raise ShapeError(f"imputed {imputed.shape} != truth {truth.shape}")
+    miss = ~as_mask(mask, truth.shape)
     count = int(miss.sum())
     if count == 0:
         raise EvaluationError("no missing cells to evaluate")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import EvaluationError, ShapeError, SpecError, ValidationError
 from .kernel import as_matrix, make_rng, require_int, require_real
-from .masking import MaskedMatrix, apply_mask
+from .masking import MaskedMatrix, apply_mask, as_mask
 
 EPS_FLOOR = 1e-8  # positivity floor keeping KL and the updates defined
 
@@ -78,10 +78,9 @@ def kl_loss(x, xhat, mask) -> float:
     """Generalized KL divergence over observed cells (x = 0 contributes xhat)."""
     x = as_matrix(x)
     xhat = as_matrix(xhat)
-    mask = as_matrix(mask)
-    if not x.shape == xhat.shape == mask.shape:
-        raise ShapeError(f"shape mismatch: x {x.shape}, xhat {xhat.shape}, mask {mask.shape}")
-    obs = mask > 0
+    if x.shape != xhat.shape:
+        raise ShapeError(f"x {x.shape} != xhat {xhat.shape}")
+    obs = as_mask(mask, x.shape)
     return _kl_sum(_check_observed(x[obs]), xhat[obs])
 
 
@@ -182,9 +181,7 @@ def init_factors(x, mask, h, seed) -> FactorPair:
     """Uniform [0.1, 1.1] factors rescaled so mean(U @ V) matches the observed
     mean, which puts the first update multipliers near 1."""
     x = as_matrix(x)
-    mask = as_matrix(mask)
-    if x.shape != mask.shape:
-        raise ShapeError(f"data {x.shape} != mask {mask.shape}")
+    obs = as_mask(mask, x.shape)
     require_int(h=h)
     if h < 1:
         raise SpecError(f"rank h must be at least 1, got {h}")
@@ -192,7 +189,6 @@ def init_factors(x, mask, h, seed) -> FactorPair:
     m, n = x.shape
     U = rng.uniform(0.1, 1.1, size=(m, h))
     V = rng.uniform(0.1, 1.1, size=(h, n))
-    obs = mask > 0
     target = float(np.mean(x[obs])) if obs.any() else 1.0
     current = float(np.mean(U @ V))
     if target > 0 and current > 0:
@@ -232,7 +228,7 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
     xv = _check_observed(x.ravel()[idx])
     mask = obs.astype(np.float64)  # the updates' products read 0.0/1.0
     # the updates floor U and V at EPS_FLOOR, so FactorPair checks them once, at return
-    init = init_factors(x, mask, h, seed)
+    init = init_factors(x, obs, h, seed)
     U, V = init.U, init.V
     # xhat = U @ V of the current factors: a check reads it, then the next
     # update starts from it and reuses its memory for the update ratios

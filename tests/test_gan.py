@@ -7,6 +7,7 @@ import pytest
 
 from blockecho import gan as G
 from blockecho import kernel as K
+from blockecho import masking
 from blockecho import mf
 from blockecho.errors import SpecError, ValidationError
 from blockecho.masking import MaskedMatrix, apply_mask, gen_scattered, gen_uniblock
@@ -472,9 +473,10 @@ class TestTrain:
 
     def test_inputs_validated_once_not_per_iteration(self, monkeypatch):
         # the loop slices checked inputs and calls the kernel directly; the
-        # per-iteration count was 32 while it went through the wrappers
+        # per-iteration count was 32 while it went through the wrappers.
+        # as_mask reads a non-bool mask through masking's as_matrix.
         counted = [0]
-        for mod in (G, K, mf):
+        for mod in (G, K, mf, masking):
             original = mod.as_matrix
 
             def counting(data, original=original):

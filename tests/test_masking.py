@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -305,19 +307,69 @@ _XN = metrics.normalize(_X, _MASK)[0]
 _FACTORS = mf.init_factors(_XN, _MASK, 3, 0)
 
 
-@pytest.mark.parametrize("call", [
-    lambda mask: metrics.normalize(_X, mask),
-    lambda mask: metrics.rmse_missing(_X[::-1], _X, mask),
-    lambda mask: mf.kl_loss(_XN, _FACTORS.U @ _FACTORS.V, mask),
-    lambda mask: mf.init_factors(_XN, mask, 3, 5),
-    lambda mask: mf.mu_step(_XN, mask, _FACTORS),
-    lambda mask: gan.build_hint(mask, make_rng(4)),
-    lambda mask: M.apply_mask(_X, mask),
-], ids=["normalize", "rmse_missing", "kl_loss", "init_factors", "mu_step", "build_hint",
-        "apply_mask"])
-def test_bool_and_float_masks_give_identical_results(call):
+# every function that takes a mask, called on a mask shaped like _MASK;
+# mix_rows reads the mask's first column as its row indicator y
+MASK_TAKERS = {
+    "normalize": lambda mask: metrics.normalize(_X, mask),
+    "rmse_missing": lambda mask: metrics.rmse_missing(_X[::-1], _X, mask),
+    "kl_loss": lambda mask: mf.kl_loss(_XN, _FACTORS.U @ _FACTORS.V, mask),
+    "init_factors": lambda mask: mf.init_factors(_XN, mask, 3, 5),
+    "mu_step": lambda mask: mf.mu_step(_XN, mask, _FACTORS),
+    "build_hint": lambda mask: gan.build_hint(mask, make_rng(4)),
+    "apply_mask": lambda mask: M.apply_mask(_X, mask),
+    "MaskedMatrix": lambda mask: M.MaskedMatrix(np.where(_MASK, _X, M.SENTINEL), mask),
+    "mix_rows": lambda mask: gan.mix_rows(_FACTORS.U, _FACTORS.U[::-1], mask[..., :1]),
+}
+
+
+@pytest.mark.parametrize("name", MASK_TAKERS)
+def test_bool_and_float_masks_give_identical_results(name):
+    call = MASK_TAKERS[name]
     assert _MASK.dtype == bool
     assert _bits(call(_MASK)) == _bits(call(_MASK.astype(np.float64)))
+
+
+@pytest.mark.parametrize("name", MASK_TAKERS)
+class TestEveryMaskTakerChecksItsMask:
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+    def test_non_binary_entry_rejected(self, name, bad):
+        mask = _MASK.astype(np.float64)
+        mask[0, 0] = bad
+        with pytest.raises(ValidationError, match="exactly 0 or 1"):
+            MASK_TAKERS[name](mask)
+
+    def test_one_dimensional_bool_rejected(self, name):
+        with pytest.raises(ShapeError, match="2-D"):
+            MASK_TAKERS[name](_MASK[0])
+
+
+# build_hint takes the shape of the mask it is given
+@pytest.mark.parametrize("name", [name for name in MASK_TAKERS if name != "build_hint"])
+@pytest.mark.parametrize("dtype", [bool, np.float64])
+def test_mask_of_other_shape_rejected(name, dtype):
+    with pytest.raises(ShapeError):
+        MASK_TAKERS[name](_MASK[:-1].astype(dtype))
+
+
+@pytest.mark.parametrize("name", ["MaskedMatrix", "rmse_missing"])
+def test_bool_mask_read_without_a_float_copy(name):
+    # a float64 copy of the mask alone takes 8 bytes per cell; both peaked
+    # above that while every mask went through as_matrix
+    m, n = 720, 64
+    x = make_rng(0).random((m, n))
+    mask = M.gen_scattered(m, n, 0.2, 0)
+    values = np.where(mask, x, M.SENTINEL)
+    call = {
+        "MaskedMatrix": lambda: M.MaskedMatrix(values, mask),
+        "rmse_missing": lambda: metrics.rmse_missing(x[::-1], x, mask),
+    }[name]
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * n
 
 
 class TestMaskSpecAndIO:
