@@ -171,7 +171,7 @@ def _bce_sum(p, target) -> float:
 
 
 def _assemble(values, mask, xhat):
-    return np.where(mask > 0, values, xhat)
+    return np.where(mask, values, xhat)
 
 
 def _head(model, u):
@@ -201,9 +201,9 @@ def _in_range(out):
 def _g_objective(model, x, mask, z, hint, y, u_p, alpha):
     """(total, recon, grads) of the generator's objective on one batch.
 
-    hint (D2's) and y (D1's real/fake row indicator) are read only when
-    alpha < 1. grads is the exact gradient of total, keyed as _g_params
-    names the arrays. No argument is written.
+    mask and y (D1's real/fake row indicator) are bool; hint (D2's) and y
+    are read only when alpha < 1. grads is the exact gradient of total,
+    keyed as _g_params names the arrays. No argument is written.
     """
     u, g_cache = net_forward(model.generator, np.hstack([x, mask, z]))
     xhat, mcl_cache = _head(model, u)
@@ -218,7 +218,7 @@ def _g_objective(model, x, mask, z, hint, y, u_p, alpha):
     # discriminator is confidently right, which stops it from dragging
     # unobserved cells along the reconstruction loss's null space forever.
     if alpha < 1.0:
-        fake = mask == 0
+        fake = ~mask
         out, cache = net_forward(model.d2, np.hstack([_assemble(x, mask, xhat), hint]))
         p = _clip_unit(out)
         adv2 = float(np.sum(fake * np.log(1.0 - p)))
@@ -227,8 +227,8 @@ def _g_objective(model, x, mask, z, hint, y, u_p, alpha):
         # assembly blocks the observed cells, so only mask=0 cells pass through
         d_xhat += d_in[:, : model.V.shape[1]] * fake
 
-        fake = y == 0
-        out, cache = net_forward(model.d1, np.where(y > 0, u_p, u))
+        fake = ~y
+        out, cache = net_forward(model.d1, np.where(y, u_p, u))
         p = _clip_unit(out)
         adv1 = -float(np.sum(fake * np.log(p)))
         d_out = np.where(fake & _in_range(out), -(1.0 - alpha) / p, 0.0)
@@ -238,8 +238,8 @@ def _g_objective(model, x, mask, z, hint, y, u_p, alpha):
 
     if alpha > 0.0:
         # kl_loss and the division need xhat > 0: the head's floor is EPS_NORM
-        recon = kl_loss(x, xhat, mask > 0)
-        d_xhat += alpha * np.where(mask > 0, 1.0 - x / xhat, 0.0)
+        recon = kl_loss(x, xhat, mask)
+        d_xhat += alpha * np.where(mask, 1.0 - x / xhat, 0.0)
 
     _, d_flat = net_backward(model.mcl, mcl_cache, d_xhat.reshape(-1, 1), params=False)
     d_p = d_flat.reshape(xhat.shape)
@@ -334,7 +334,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     # c > 0 since FactorPair holds U >= EPS_FLOOR
     c = float(pre.U.max()) / 0.95
     pre = FactorPair(np.maximum(pre.U / c, EPS_FLOOR), np.maximum(pre.V * c, EPS_FLOOR))
-    mask = obs.astype(np.float64)  # net inputs, targets and losses read 0.0/1.0
+    mask = obs.astype(np.float64)  # generator inputs and D2's targets read 0.0/1.0
 
     init_rng, batch_rng, noise_rng, hint_rng, y_rng = spawn_rngs(cfg.seed, 5)
     model = build_model(cfg, pre, init_rng)
@@ -345,24 +345,25 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     for it in range(cfg.iters):
         rows = np.sort(batch_rng.choice(m, size=cfg.batch_rows, replace=False))
         xb = values[rows]
-        mb = mask[rows]
+        ob = obs[rows]
         zb = uniform(noise_rng, cfg.batch_rows, cfg.h, 0.0, NOISE_HIGH)
         upb = pre.U[rows]
         hb = yb = None
         d1_val = d2_val = float("nan")
 
-        # the batch is sliced from checked inputs and y is a 0/1 draw, so the
-        # loop calls the kernel directly
+        # the batch is sliced from checked inputs and y is a bool draw, so
+        # the loop calls the kernel directly
         if cfg.alpha < 1.0:
+            mb = mask[rows]
             u, _ = net_forward(model.generator, np.hstack([xb, mb, zb]))
             xhat, _ = _head(model, u)
-            hb = build_hint(mb > 0, hint_rng)
-            xbar = np.hstack([_assemble(xb, mb, xhat), hb])
+            hb = build_hint(ob, hint_rng)
+            xbar = np.hstack([_assemble(xb, ob, xhat), hb])
             d2_val = _d_step(model.d2, opt_d2, "d2", xbar, mb)
-            yb = (y_rng.random((cfg.batch_rows, 1)) < 0.5).astype(np.float64)
-            d1_val = _d_step(model.d1, opt_d1, "d1", np.where(yb > 0, upb, u), yb)
+            yb = y_rng.random((cfg.batch_rows, 1)) < 0.5
+            d1_val = _d_step(model.d1, opt_d1, "d1", np.where(yb, upb, u), yb)
 
-        g_total, recon, grads = _g_objective(model, xb, mb, zb, hb, yb, upb, cfg.alpha)
+        g_total, recon, grads = _g_objective(model, xb, ob, zb, hb, yb, upb, cfg.alpha)
         adam_step(opt_g, g_params, grads)
         trace["d1"].append(d1_val)
         trace["d2"].append(d2_val)
@@ -384,7 +385,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
         r = slice(start, start + cfg.batch_rows)
         u, _ = net_forward(model.generator, np.hstack([values[r], mask[r], z_full[r]]))
         xhat, _ = _head(model, u)
-        imputed[r] = _assemble(values[r], mask[r], xhat)
+        imputed[r] = _assemble(values[r], obs[r], xhat)
     result = ImputationResult(
         imputed=imputed,
         loss_trace=trace,

@@ -4,10 +4,10 @@ A mask is an m x n bool matrix, True = observed: one byte per cell. Every
 function that takes a mask checks it with as_mask, which also accepts
 exact {0, 1} numbers and reads them as False/True. Being bool, a mask does
 not negate with -mask (that raises; use ~mask), and 1 - mask is an int
-array. Three missingness patterns are supported: scattered cells, a single
-contiguous block, and k separate blocks. Blocks are rectangles of at least
-4x4 cells (the minimum extent that counts as block-wise rather than
-scattered).
+array. generate_mask builds every mask from a MaskSpec, in one of three
+patterns: scattered cells, a single contiguous block, and k separate blocks.
+Blocks are rectangles of at least 4x4 cells (the minimum extent that counts
+as block-wise rather than scattered).
 
 Missing entries of a masked matrix hold a 0.0 sentinel so they can be fed
 to networks directly.
@@ -23,13 +23,14 @@ from .kernel import as_matrix, make_rng, require_int, require_real
 PATTERNS = ("scattered", "uniblock", "multiblock")
 MIN_BLOCK = 4  # minimum block height and width
 SENTINEL = 0.0
-PLACE_ATTEMPTS = 200  # fresh starts of gen_multiblock's block placement
+PLACE_ATTEMPTS = 200  # fresh starts of _place_blocks's placement
 PLACE_TRIES = 60      # random positions tried per block within one start
 
 
 @dataclass(frozen=True)
 class MaskSpec:
-    """What to generate: pattern, target missing rate, seed (k for multiblock)."""
+    """What to generate: pattern, target missing rate, seed, and k, the
+    block count of multiblock (0 for the other patterns)."""
 
     pattern: str
     rate: float
@@ -39,9 +40,14 @@ class MaskSpec:
     def __post_init__(self):
         if self.pattern not in PATTERNS:
             raise SpecError(f"unknown pattern '{self.pattern}' (choose from {PATTERNS})")
-        _check_rate(self.rate, k=self.k)
+        require_int(k=self.k)
+        require_real(rate=self.rate)
+        if not 0.0 < self.rate < 1.0:
+            raise SpecError(f"rate must lie in (0, 1), got {self.rate}")
         if self.pattern == "multiblock" and self.k < 2:
             raise SpecError(f"multiblock needs k >= 2, got {self.k}")
+        if self.pattern != "multiblock" and self.k != 0:
+            raise SpecError(f"{self.pattern} takes no k, got {self.k}")
 
 
 @dataclass
@@ -87,21 +93,6 @@ def as_mask(mask, shape) -> np.ndarray:
     return mask
 
 
-def _check_rate(rate, **ints):
-    """SpecError unless rate is a real number in (0, 1) and every other value an integer."""
-    require_int(**ints)
-    require_real(rate=rate)
-    if not 0.0 < rate < 1.0:
-        raise SpecError(f"rate must lie in (0, 1), got {rate}")
-
-
-def _check_args(m, n, rate, **ints):
-    """_check_rate, plus SpecError unless m x n has at least one cell."""
-    _check_rate(rate, m=m, n=n, **ints)
-    if m < 1 or n < 1:
-        raise SpecError(f"matrix size {m}x{n} is empty")
-
-
 def _lowest(scores, target):
     """True at the target lowest scores, 0 <= target <= scores.size.
 
@@ -120,10 +111,9 @@ def _lowest(scores, target):
     return chosen
 
 
-def gen_scattered(m, n, rate, seed) -> np.ndarray:
+def _scattered(m, n, rate, seed):
     """Exactly round(rate*m*n) missing cells: those with the lowest scores in
     a seeded random m x n matrix, the lower flat index winning a tie."""
-    _check_args(m, n, rate)
     target = round(rate * m * n)
     if target >= m * n:
         raise SpecError(f"rate {rate} would blank the whole {m}x{n} matrix")
@@ -150,22 +140,14 @@ def _sample_rect(m, n, pairs, rng):
     return i0, j0, h, w
 
 
-def gen_uniblock(m, n, rate, seed) -> np.ndarray:
-    """One contiguous missing rectangle with dims >= 4, area as close as
+def _one_block(m, n, rate, seed):
+    """One rectangle (i0, j0, height, width) with dims >= 4, area as close as
     possible to round(rate*m*n); SpecError if the whole matrix is one of the
     closest rectangles."""
-    _check_args(m, n, rate)
-    if m < MIN_BLOCK or n < MIN_BLOCK:
-        raise SpecError(
-            f"no feasible block: need at least {MIN_BLOCK}x{MIN_BLOCK}, matrix is {m}x{n}"
-        )
     pairs = _closest_area_dims(m, n, round(rate * m * n))
     if (m, n) in pairs:
         raise SpecError(f"rate {rate} would blank the whole {m}x{n} matrix")
-    i0, j0, h, w = _sample_rect(m, n, pairs, make_rng(seed))
-    mask = np.ones((m, n), dtype=bool)
-    mask[i0 : i0 + h, j0 : j0 + w] = False
-    return mask
+    return _sample_rect(m, n, pairs, make_rng(seed))
 
 
 def _rects_overlap(a, b):
@@ -178,10 +160,6 @@ def _rects_overlap(a, b):
 def _place_blocks(m, n, rate, k, seed):
     """k disjoint rectangles totalling within 5% of round(rate*m*n) cells and
     leaving at least one cell uncovered, or SpecError."""
-    if m < MIN_BLOCK or n < MIN_BLOCK:
-        raise SpecError(f"no feasible block in a {m}x{n} matrix")
-    if k < 1:
-        raise SpecError(f"need at least one block, got k={k}")
     target_total = round(rate * m * n)
     rng = make_rng(seed)
     dims = {}  # per-block target -> its _closest_area_dims, computed once
@@ -215,30 +193,35 @@ def _place_blocks(m, n, rate, k, seed):
     )
 
 
-def gen_multiblock(m, n, rate, k, seed) -> np.ndarray:
-    """k disjoint missing rectangles, each >= 4x4, total within 5% of target."""
-    _check_args(m, n, rate, k=k)
-    mask = np.ones((m, n), dtype=bool)
-    for i0, j0, h, w in _place_blocks(m, n, rate, k, seed):
-        mask[i0 : i0 + h, j0 : j0 + w] = False
-    return mask
-
-
 def generate_mask(spec: MaskSpec, m, n) -> np.ndarray:
     """An m x n bool mask (True = observed) with at least one observed cell.
 
     The missing share follows spec.rate, target = round(rate*m*n) cells:
     scattered blanks exactly target cells; uniblock blanks one rectangle of
     dims >= 4 whose area is the closest to target; multiblock blanks k
-    disjoint such rectangles totalling within 5% of target. A request that
-    cannot be met (a block that does not fit, a mask that would blank every
-    cell, blocks that cannot land within 5%) raises SpecError.
+    disjoint such rectangles totalling within 5% of target. MaskSpec checks
+    the pattern, the rate and k, and this function m and n, each once; the
+    seed is checked where its stream is made. A request that cannot be met
+    (an empty matrix, a block that does not fit, a mask that would blank
+    every cell, blocks that cannot land within 5%) raises SpecError.
     """
+    require_int(m=m, n=n)
+    if m < 1 or n < 1:
+        raise SpecError(f"matrix size {m}x{n} is empty")
     if spec.pattern == "scattered":
-        return gen_scattered(m, n, spec.rate, spec.seed)
+        return _scattered(m, n, spec.rate, spec.seed)
+    if m < MIN_BLOCK or n < MIN_BLOCK:
+        raise SpecError(
+            f"no feasible block: need at least {MIN_BLOCK}x{MIN_BLOCK}, matrix is {m}x{n}"
+        )
     if spec.pattern == "uniblock":
-        return gen_uniblock(m, n, spec.rate, spec.seed)
-    return gen_multiblock(m, n, spec.rate, spec.k, spec.seed)
+        rects = [_one_block(m, n, spec.rate, spec.seed)]
+    else:
+        rects = _place_blocks(m, n, spec.rate, spec.k, spec.seed)
+    mask = np.ones((m, n), dtype=bool)
+    for i0, j0, h, w in rects:
+        mask[i0 : i0 + h, j0 : j0 + w] = False
+    return mask
 
 
 def apply_mask(x, mask) -> MaskedMatrix:

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from blockecho import data as D
 from blockecho import kernel as K
 from blockecho.errors import EvaluationError, ParseError, SpecError, ValidationError
-from blockecho.masking import SENTINEL, gen_uniblock
+from blockecho.masking import SENTINEL, MaskSpec, generate_mask
 
 
 class TestLoadCsv:
@@ -42,7 +44,7 @@ class TestLoadCsv:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.random((12, 7)) * 1e3
-        mask = gen_uniblock(12, 7, 0.3, 1)
+        mask = generate_mask(MaskSpec("uniblock", 0.3, 1), 12, 7)
         p = tmp_path / "f.csv"
         lines = (",".join(f"{v:.17g}" if k else "" for v, k in zip(row, keep))
                  for row, keep in zip(x, mask))
@@ -115,6 +117,34 @@ class TestLoadCsv:
 
 
 class TestSynthetic:
+    # The benchmark's matrices come from gen_synthetic: each kind at the
+    # shapes of its workloads (12x8, 48x16 and 720x64), plus two odd sizes.
+    # The values are rounded to 6 decimals before hashing: the matrix
+    # product and np.sin/np.exp may differ in the last bit between CPUs
+    # and BLAS kernels, while a change to the draws or formulas moves
+    # values far more than that.
+    @pytest.mark.parametrize("kind, m, n, digest", [
+        ("lowrank_poisson", 12, 8, "31f10dadfc6d85cc"),
+        ("lowrank_poisson", 48, 16, "1bf54ea5bdc02b8a"),
+        ("lowrank_poisson", 720, 64, "6f70ef72e0879d4f"),
+        ("lowrank_poisson", 1, 1, "a462560fcc8551a6"),
+        ("lowrank_poisson", 3, 50, "535552225a3059f4"),
+        ("periodic_traffic", 12, 8, "2e1d4a1bea294bc5"),
+        ("periodic_traffic", 48, 16, "d2be3365357bbf55"),
+        ("periodic_traffic", 720, 64, "2287a27ba42a8478"),
+        ("periodic_traffic", 1, 1, "d61ac60b0e49a29c"),
+        ("periodic_traffic", 3, 50, "ce8911e643e1c4ad"),
+        ("burst_epidemic", 12, 8, "3656879705a76900"),
+        ("burst_epidemic", 48, 16, "c88f3ce131d96007"),
+        ("burst_epidemic", 720, 64, "1e6fd7276058f0f8"),
+        ("burst_epidemic", 1, 1, "dfd2c51515e38372"),
+        ("burst_epidemic", 3, 50, "1ae9f7885f6a523e"),
+    ])
+    def test_golden_digest(self, kind, m, n, digest):
+        x = D.gen_synthetic(D.SyntheticSpec(kind, m, n, seed=2**31 + 5)).values
+        assert x.dtype == np.float64 and x.shape == (m, n)
+        assert hashlib.sha256(np.round(x, 6).tobytes()).hexdigest()[:16] == digest
+
     def test_exact_rank_when_noiseless(self):
         ds = D.gen_synthetic(D.SyntheticSpec("lowrank_poisson", 40, 20, seed=0))
         s = np.linalg.svd(ds.values, compute_uv=False)

@@ -10,7 +10,7 @@ from blockecho import kernel as K
 from blockecho import masking
 from blockecho import mf
 from blockecho.errors import SpecError, ValidationError
-from blockecho.masking import MaskedMatrix, apply_mask, gen_scattered, gen_uniblock
+from blockecho.masking import MaskedMatrix, MaskSpec, apply_mask, generate_mask
 from blockecho.metrics import EPS_NORM, normalize, rmse_missing
 from oracles import fd_gradient, max_rel_error
 
@@ -18,7 +18,7 @@ from oracles import fd_gradient, max_rel_error
 def toy_instance(m=6, n=4, seed=0, missing=0.4):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.1, 1.0, size=(m, n))
-    mask = gen_scattered(m, n, missing, seed + 1)
+    mask = generate_mask(MaskSpec("scattered", missing, seed + 1), m, n)
     return apply_mask(x, mask), x
 
 
@@ -65,7 +65,7 @@ def full_batch(xm, rcfg, pre, seed=0):
         mask=xm.mask,
         z=K.uniform(rng, m, rcfg.h, 0.0, G.NOISE_HIGH),
         hint=G.build_hint(xm.mask, rng),
-        y=(rng.random((m, 1)) < 0.5).astype(np.float64),
+        y=rng.random((m, 1)) < 0.5,
         u_p=pre.U,
     )
 
@@ -169,7 +169,7 @@ class TestHint:
         assert set(np.unique(hint)) <= {0.0, 0.5, 1.0}
 
     def test_same_bits_and_draws_as_the_bernoulli_form(self):
-        mask = gen_scattered(40, 30, 0.4, 5)
+        mask = generate_mask(MaskSpec("scattered", 0.4, 5), 40, 30)
         rng_new, rng_old = K.make_rng(8), K.make_rng(8)
         hint = G.build_hint(mask, rng_new)
         b = (rng_old.random((40, 30)) < G.HINT_RATE).astype(np.float64)
@@ -299,7 +299,7 @@ class TestDLosses:
         assert abs(vals[1] - 5 * np.log(0.5)) < 1e-12
 
     def test_d2_at_half(self):
-        mask = gen_scattered(6, 5, 0.4, 2)
+        mask = generate_mask(MaskSpec("scattered", 0.4, 2), 6, 5)
         assert abs(G._bce_sum(G._clip_unit(np.full((6, 5), 0.5)), mask) - 30 * np.log(0.5)) < 1e-12
 
     def test_d2_all_observed_pure_real_term(self):
@@ -419,7 +419,8 @@ class TestTrain:
         # per cell, and peaked near 28 * m * n * 8 bytes at this size
         m, n = 3000, 32
         rng = np.random.default_rng(0)
-        xm = apply_mask(rng.uniform(0.1, 1.0, (m, n)), gen_scattered(m, n, 0.3, 0))
+        mask = generate_mask(MaskSpec("scattered", 0.3, 0), m, n)
+        xm = apply_mask(rng.uniform(0.1, 1.0, (m, n)), mask)
         pre = mf.FactorPair(rng.uniform(0.1, 1.0, (m, 8)), rng.uniform(0.1, 1.0, (8, n)))
         tracemalloc.start()
         try:
@@ -495,7 +496,7 @@ class TestTrain:
 
     def test_unnormalized_data_rejected(self):
         x = np.full((6, 4), 5.0)
-        xm = apply_mask(x, gen_scattered(6, 4, 0.3, 0))
+        xm = apply_mask(x, generate_mask(MaskSpec("scattered", 0.3, 0), 6, 4))
         pre, _ = mf.pretrain(xm, 2, max_iters=10, seed=0)
         with pytest.raises(ValidationError, match="normalized"):
             G.train(xm, pre, G.BlockEchoConfig(h=2, iters=5))
@@ -522,7 +523,7 @@ class TestTrain:
         for seed in seeds:
             rng = np.random.default_rng(200 + seed)
             x = rng.uniform(0.3, 1.2, (24, 3)) @ rng.uniform(0.3, 1.2, (3, 12))
-            mask = gen_uniblock(24, 12, 0.4, seed)
+            mask = generate_mask(MaskSpec("uniblock", 0.4, seed), 24, 12)
             xn, params = normalize(x, mask)
             xm = MaskedMatrix(xn, mask)
             pre, _ = mf.pretrain(xm, 3, max_iters=300, seed=seed)

@@ -419,7 +419,7 @@ class TestRng:
 
 def _train_with_seed(seed):
     x = np.random.default_rng(0).uniform(0.1, 1.0, size=(8, 5))
-    xm = masking.apply_mask(x, masking.gen_scattered(8, 5, 0.3, 1))
+    xm = masking.apply_mask(x, masking.generate_mask(masking.MaskSpec("scattered", 0.3, 1), 8, 5))
     pre, _ = mf.pretrain(xm, 2, max_iters=5, seed=0)
     gan.train(xm, pre, gan.BlockEchoConfig(h=2, iters=1, seed=seed))
 

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,10 @@ from blockecho import masking as M
 from blockecho.data import SyntheticSpec, gen_synthetic
 from blockecho.errors import ShapeError, SpecError, ValidationError
 from blockecho.kernel import make_rng
+
+
+def mask_of(pattern, m, n, rate, seed, k=0):
+    return M.generate_mask(M.MaskSpec(pattern, rate, seed, k=k), m, n)
 
 
 def block_bbox(mask):
@@ -26,35 +31,36 @@ def assert_block(mask, i0, j0, i1, j1):
 
 class TestScattered:
     def test_tiny_rate_rounds_to_all_observed(self):
-        mask = M.gen_scattered(10, 10, 0.004, seed=0)
+        mask = mask_of("scattered", 10, 10, 0.004, 0)
         assert mask.sum() == 100
 
     def test_exact_count(self):
-        mask = M.gen_scattered(10, 10, 0.6, seed=1)
+        mask = mask_of("scattered", 10, 10, 0.6, 1)
         assert (mask == 0).sum() == 60
 
     def test_deterministic(self):
-        assert np.array_equal(M.gen_scattered(20, 30, 0.4, 7), M.gen_scattered(20, 30, 0.4, 7))
+        a, b = (mask_of("scattered", 20, 30, 0.4, 7) for _ in range(2))
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("rate", [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
     @pytest.mark.parametrize("shape", [(10, 10), (37, 53), (200, 41)])
     def test_count_exactness_grid(self, rate, shape):
         m, n = shape
         for seed in range(5):
-            mask = M.gen_scattered(m, n, rate, seed)
+            mask = mask_of("scattered", m, n, rate, seed)
             assert (mask == 0).sum() == round(rate * m * n)
 
     def test_bad_rate(self):
         with pytest.raises(SpecError):
-            M.gen_scattered(10, 10, 1.2, 0)
+            mask_of("scattered", 10, 10, 1.2, 0)
 
     def test_rate_blanking_everything(self):
         with pytest.raises(SpecError):
-            M.gen_scattered(2, 2, 0.9, 0)  # rounds to all 4 cells
+            mask_of("scattered", 2, 2, 0.9, 0)  # rounds to all 4 cells
 
 
 def stable_argsort_mask(m, n, rate, seed):
-    """gen_scattered as written with a full stable sort of the scores."""
+    """The scattered pattern as written with a full stable sort of the scores."""
     target = round(rate * m * n)
     scores = make_rng(seed).random((m, n))
     order = np.argsort(scores, axis=None, kind="stable")
@@ -72,7 +78,7 @@ class TestScatteredSelection:
                 continue  # rejected, see test_rate_blanking_everything
             for seed in range(5):
                 expected = stable_argsort_mask(m, n, rate, seed)
-                assert np.array_equal(M.gen_scattered(m, n, rate, seed), expected)
+                assert np.array_equal(mask_of("scattered", m, n, rate, seed), expected)
 
     @pytest.mark.parametrize("m, n, target", [
         (1, 1, 0), (3, 2, 0), (3, 2, 5), (48, 16, 0), (48, 16, 767), (720, 64, 46079),
@@ -81,7 +87,7 @@ class TestScatteredSelection:
         rate = target / (m * n) if target else 0.4 / (m * n)
         assert round(rate * m * n) == target
         for seed in range(3):
-            mask = M.gen_scattered(m, n, rate, seed)
+            mask = mask_of("scattered", m, n, rate, seed)
             assert (mask == 0).sum() == target
             assert np.array_equal(mask, stable_argsort_mask(m, n, rate, seed))
 
@@ -90,7 +96,7 @@ class TestScatteredSelection:
             raise AssertionError("np.partition called")
 
         monkeypatch.setattr(np, "partition", fail)
-        assert np.all(M.gen_scattered(10, 10, 0.004, 0) == 1.0)
+        assert np.all(mask_of("scattered", 10, 10, 0.004, 0) == 1.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ties_go_to_the_lower_flat_index(self, seed):
@@ -112,7 +118,7 @@ class TestScatteredSelection:
 class TestUniblock:
     def test_area_36_with_min_dims(self):
         for seed in range(10):
-            mask = M.gen_uniblock(10, 10, 0.36, seed)
+            mask = mask_of("uniblock", 10, 10, 0.36, seed)
             i0, j0, i1, j1 = block_bbox(mask)
             h, w = i1 - i0 + 1, j1 - j0 + 1
             assert h * w == 36 and h >= 4 and w >= 4
@@ -120,11 +126,11 @@ class TestUniblock:
 
     def test_rate_within_5_percent(self):
         for seed in range(10):
-            mask = M.gen_uniblock(20, 20, 0.6, seed)
+            mask = mask_of("uniblock", 20, 20, 0.6, seed)
             assert abs((mask == 0).sum() - 240) <= 0.05 * 240
 
     def test_complement_fully_observed(self):
-        mask = M.gen_uniblock(15, 12, 0.3, seed=3)
+        mask = mask_of("uniblock", 15, 12, 0.3, 3)
         i0, j0, i1, j1 = block_bbox(mask)
         outside = mask.copy()
         outside[i0 : i1 + 1, j0 : j1 + 1] = 1.0
@@ -132,22 +138,25 @@ class TestUniblock:
 
     def test_generating_rect_is_block_region(self):
         for seed in range(20):
-            mask = M.gen_uniblock(30, 25, 0.4, seed)
+            mask = mask_of("uniblock", 30, 25, 0.4, seed)
             i0, j0, i1, j1 = block_bbox(mask)
             assert_block(mask, i0, j0, i1, j1)
 
     def test_infeasible_matrix(self):
-        with pytest.raises(SpecError):
-            M.gen_uniblock(3, 10, 0.5, 0)
+        # generate_mask checks the size for both block patterns
+        for pattern, k in (("uniblock", 0), ("multiblock", 2)):
+            with pytest.raises(SpecError, match="no feasible block"):
+                mask_of(pattern, 3, 10, 0.5, 0, k=k)
 
     @pytest.mark.parametrize("m, n, rate", [(4, 4, 0.5), (5, 5, 0.99), (6, 4, 0.9)])
     def test_whole_matrix_block_rejected(self, m, n, rate):
         # the closest-area block was the whole matrix, which came back all missing
         with pytest.raises(SpecError, match="blank the whole"):
-            M.gen_uniblock(m, n, rate, 0)
+            mask_of("uniblock", m, n, rate, 0)
 
     def test_deterministic(self):
-        assert np.array_equal(M.gen_uniblock(20, 20, 0.5, 9), M.gen_uniblock(20, 20, 0.5, 9))
+        a, b = (mask_of("uniblock", 20, 20, 0.5, 9) for _ in range(2))
+        assert np.array_equal(a, b)
 
 
 class TestMultiblock:
@@ -160,7 +169,7 @@ class TestMultiblock:
                     assert not M._rects_overlap(rects[a], rects[b])
             total = sum(h * w for _, _, h, w in rects)
             assert abs(total - 270) <= 0.05 * 270
-            mask = M.gen_multiblock(30, 30, 0.3, 3, seed)
+            mask = mask_of("multiblock", 30, 30, 0.3, seed, k=3)
             assert (mask == 0).sum() == total
 
     def test_each_block_at_least_4x4(self):
@@ -168,10 +177,11 @@ class TestMultiblock:
         assert all(h >= 4 and w >= 4 for _, _, h, w in rects)
 
     def test_k1_meets_uniblock_contract(self):
-        mask = M.gen_multiblock(12, 12, 0.3, 1, seed=5)
-        i0, j0, i1, j1 = block_bbox(mask)
-        assert_block(mask, i0, j0, i1, j1)
-        assert (mask == 0).sum() == (i1 - i0 + 1) * (j1 - j0 + 1)
+        # MaskSpec refuses k=1 for multiblock; the placement itself takes it
+        (i0, j0, h, w), = M._place_blocks(12, 12, 0.3, 1, seed=5)
+        assert h >= M.MIN_BLOCK and w >= M.MIN_BLOCK
+        assert i0 + h <= 12 and j0 + w <= 12
+        assert abs(h * w - 43) <= 0.05 * 43
 
     @pytest.mark.parametrize("m, n, rate, k, seed", [(720, 64, 0.3, 4, 1), (30, 30, 0.3, 3, 0)])
     def test_one_area_search_per_distinct_target(self, monkeypatch, m, n, rate, k, seed):
@@ -183,13 +193,13 @@ class TestMultiblock:
             return search(m, n, target)
 
         monkeypatch.setattr(M, "_closest_area_dims", counted)
-        M.gen_multiblock(m, n, rate, k, seed)
+        mask_of("multiblock", m, n, rate, seed, k=k)
         assert targets and len(targets) == len(set(targets))
 
     def test_blocks_never_tile_the_whole_matrix(self):
         # two 4x4 blocks covered a 4x8 matrix, within 5% of the 32-cell target
         with pytest.raises(SpecError):
-            M.gen_multiblock(4, 8, 0.99, 2, 0)
+            mask_of("multiblock", 4, 8, 0.99, 0, k=2)
 
     @pytest.mark.parametrize("m, n, rate, k", [
         (120, 64, 0.3, 200), (120, 64, 0.3, 1000), (30, 30, 0.01, 2), (8, 8, 0.4, 2),
@@ -206,17 +216,17 @@ class TestMultiblock:
 
         monkeypatch.setattr(M, "_sample_rect", counted)
         with pytest.raises(SpecError, match="could not place"):
-            M.gen_multiblock(m, n, rate, k, 0)
+            mask_of("multiblock", m, n, rate, 0, k=k)
         assert draws[0] == 0
 
     def test_placement_failure(self):
         # a 9x9 grid fits at most four disjoint 4x4 blocks
         with pytest.raises(SpecError, match="lower the rate"):
-            M.gen_multiblock(9, 9, 0.9, 5, seed=0)
+            mask_of("multiblock", 9, 9, 0.9, 0, k=5)
 
     def test_deterministic(self):
-        a = M.gen_multiblock(30, 30, 0.2, 2, 11)
-        b = M.gen_multiblock(30, 30, 0.2, 2, 11)
+        a = mask_of("multiblock", 30, 30, 0.2, 11, k=2)
+        b = mask_of("multiblock", 30, 30, 0.2, 11, k=2)
         assert np.array_equal(a, b)
 
 
@@ -245,7 +255,7 @@ class TestApplyMask:
     def test_observed_bit_exact(self):
         rng = np.random.default_rng(0)
         x = rng.random((8, 8)) * 1e6
-        mask = M.gen_scattered(8, 8, 0.5, 1)
+        mask = mask_of("scattered", 8, 8, 0.5, 1)
         mm = M.apply_mask(x, mask)
         obs = mask > 0
         assert np.array_equal(mm.values[obs], x[obs])
@@ -302,7 +312,7 @@ def _bits(obj):
 
 
 _X = gen_synthetic(SyntheticSpec("periodic_traffic", 12, 8, seed=3)).values
-_MASK = M.gen_scattered(12, 8, 0.3, 2)
+_MASK = mask_of("scattered", 12, 8, 0.3, 2)
 _XN = metrics.normalize(_X, _MASK)[0]
 _FACTORS = mf.init_factors(_XN, _MASK, 3, 0)
 
@@ -357,7 +367,7 @@ def test_bool_mask_read_without_a_float_copy(name):
     # above that while every mask went through as_matrix
     m, n = 720, 64
     x = make_rng(0).random((m, n))
-    mask = M.gen_scattered(m, n, 0.2, 0)
+    mask = mask_of("scattered", m, n, 0.2, 0)
     values = np.where(mask, x, M.SENTINEL)
     call = {
         "MaskedMatrix": lambda: M.MaskedMatrix(values, mask),
@@ -385,9 +395,9 @@ class TestMaskSpecAndIO:
         (lambda: M.MaskSpec("multiblock", 0.3, 0, k=2.5), "k"),
         (lambda: M.MaskSpec("scattered", "0.3", 0), "rate"),
         (lambda: M.MaskSpec("scattered", None, 0), "rate"),
-        (lambda: M.gen_scattered(2.5, 4, 0.3, 0), "m"),
-        (lambda: M.gen_uniblock(10, 10.5, 0.3, 0), "n"),
-        (lambda: M.gen_multiblock(20, 20, 0.3, 2.5, 0), "k"),
+        (lambda: M.generate_mask(M.MaskSpec("scattered", 0.3, 0), 2.5, 4), "m"),
+        (lambda: M.generate_mask(M.MaskSpec("uniblock", 0.3, 0), 10, 10.5), "n"),
+        (lambda: M.generate_mask(M.MaskSpec("multiblock", 0.3, 0, k=2.0), 20, 20), "k"),
     ], ids=[
         "spec-k", "spec-rate-str", "spec-rate-none", "scattered-m", "uniblock-n", "multiblock-k",
     ])
@@ -397,12 +407,12 @@ class TestMaskSpecAndIO:
             make()
 
     @pytest.mark.parametrize("make, size", [
-        (lambda: M.gen_scattered(-1, -5, 0.3, 0), "-1x-5"),
-        (lambda: M.gen_scattered(-4, -4, 0.5, 0), "-4x-4"),
-        (lambda: M.gen_scattered(0, 0, 0.3, 0), "0x0"),
-        (lambda: M.gen_scattered(-2, 3, 0.5, 0), "-2x3"),
-        (lambda: M.gen_uniblock(0, 5, 0.5, 0), "0x5"),
-        (lambda: M.gen_multiblock(-8, -8, 0.3, 2, 0), "-8x-8"),
+        (lambda: M.generate_mask(M.MaskSpec("scattered", 0.3, 0), -1, -5), "-1x-5"),
+        (lambda: M.generate_mask(M.MaskSpec("scattered", 0.5, 0), -4, -4), "-4x-4"),
+        (lambda: M.generate_mask(M.MaskSpec("scattered", 0.3, 0), 0, 0), "0x0"),
+        (lambda: M.generate_mask(M.MaskSpec("scattered", 0.5, 0), -2, 3), "-2x3"),
+        (lambda: M.generate_mask(M.MaskSpec("uniblock", 0.5, 0), 0, 5), "0x5"),
+        (lambda: M.generate_mask(M.MaskSpec("multiblock", 0.3, 0, k=2), -8, -8), "-8x-8"),
     ], ids=[
         "scattered-negative", "scattered-negative-square", "scattered-zero",
         "scattered-negative-rows", "uniblock-zero-rows", "multiblock-negative",
@@ -412,6 +422,12 @@ class TestMaskSpecAndIO:
         # ValueError, the others as a SpecError about blanking the matrix
         with pytest.raises(SpecError, match=f"^matrix size {size} is empty"):
             make()
+
+    @pytest.mark.parametrize("pattern, k", [("scattered", 1), ("uniblock", 3), ("uniblock", -1)])
+    def test_k_of_a_pattern_without_blocks_rejected(self, pattern, k):
+        # uniblock with k=3 once gave one block without a word
+        with pytest.raises(SpecError, match=f"^{pattern} takes no k"):
+            M.MaskSpec(pattern, 0.3, 1, k=k)
 
     def test_generate_dispatch(self):
         spec = M.MaskSpec("multiblock", 0.2, 3, k=2)
@@ -457,3 +473,29 @@ def test_generate_mask_meets_its_rate_contract_or_raises_spec_error(pattern, m, 
         assert missing == target
     if pattern == "multiblock":
         assert abs(missing - target) <= 0.05 * target
+
+
+# The benchmark's masks come from generate_mask: each pattern at the shapes
+# of its workloads (12x8, 48x16 and 720x64), plus a few odd sizes. A change
+# to any pattern's draws would silently change the benchmark's data.
+@pytest.mark.parametrize("pattern, m, n, rate, k, digest", [
+    ("scattered", 12, 8, 0.2, 0, "9e3ce1991472b75f"),
+    ("uniblock", 12, 8, 0.2, 0, "cd5cb55b447a7def"),
+    ("multiblock", 12, 8, 0.5, 2, "cb167689aaa14e13"),
+    ("scattered", 48, 16, 0.3, 0, "524f4c0ae13f3ad0"),
+    ("uniblock", 48, 16, 0.3, 0, "4e294bb98e6b3601"),
+    ("multiblock", 48, 16, 0.3, 2, "df24cfca9a5e89c2"),
+    ("scattered", 720, 64, 0.2, 0, "87facb328ed668dd"),
+    ("uniblock", 720, 64, 0.3, 0, "b01551501586590c"),
+    ("multiblock", 720, 64, 0.3, 4, "d1f42086ebb0728c"),
+    ("scattered", 1, 1, 0.3, 0, "4bf5122f344554c5"),
+    ("scattered", 5, 7, 0.5, 0, "bcd2f6a3e7052dfe"),
+    ("uniblock", 4, 5, 0.5, 0, "fe665b496b82cd5a"),
+    ("uniblock", 37, 53, 0.6, 0, "b0657d6237bf18fe"),
+    ("multiblock", 9, 9, 0.5, 2, "5a9a3025c08522a4"),
+    ("multiblock", 37, 53, 0.25, 3, "5348a1f8d8469ced"),
+])
+def test_generate_mask_golden_digest(pattern, m, n, rate, k, digest):
+    mask = mask_of(pattern, m, n, rate, 2**31 + 5, k=k)
+    assert mask.dtype == bool and mask.shape == (m, n)
+    assert hashlib.sha256(mask.tobytes()).hexdigest()[:16] == digest

@@ -6,7 +6,7 @@ import pytest
 
 from blockecho import mf
 from blockecho.errors import EvaluationError, ShapeError, SpecError, ValidationError
-from blockecho.masking import MaskedMatrix, apply_mask, gen_scattered, gen_uniblock
+from blockecho.masking import MaskedMatrix, MaskSpec, apply_mask, generate_mask
 from blockecho.metrics import normalize, rmse_missing
 
 
@@ -14,7 +14,7 @@ def random_instance(m, n, seed, missing=0.0):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.05, 1.0, size=(m, n))
     if missing:
-        mask = gen_scattered(m, n, missing, seed + 1)
+        mask = generate_mask(MaskSpec("scattered", missing, seed + 1), m, n)
     else:
         mask = np.ones((m, n))
     return x, mask
@@ -297,7 +297,7 @@ class TestPretrain:
             rng = np.random.default_rng(100 + seed)
             r = int(rng.integers(1, 4))
             x = rng.uniform(0.3, 1.3, (30, r)) @ rng.uniform(0.3, 1.3, (r, 20))
-            mask = gen_scattered(30, 20, 0.6, seed)
+            mask = generate_mask(MaskSpec("scattered", 0.6, seed), 30, 20)
             xm = apply_mask(x, mask)
             factors, _ = mf.pretrain(xm, h=r, max_iters=4000, tol=1e-12, seed=seed)
             _, params = normalize(x, mask)
@@ -345,7 +345,7 @@ def bit_exact_case(name):
     x, mask = random_instance(20, 15, 11, missing=0.4)
     h, max_iters, tol = 3, 60, 0.0
     if name == "block":
-        mask = gen_uniblock(20, 15, 0.3, 12)
+        mask = generate_mask(MaskSpec("uniblock", 0.3, 12), 20, 15)
     elif name == "dead_row":
         mask[4, :] = 0.0
     elif name == "dead_col":

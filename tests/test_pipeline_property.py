@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from blockecho import gan, mf
 from blockecho.data import SYNTHETIC_KINDS, SyntheticSpec, gen_synthetic
 from blockecho.errors import BlockEchoError, SpecError
-from blockecho.masking import PATTERNS, MaskedMatrix, MaskSpec, gen_scattered, generate_mask
+from blockecho.masking import PATTERNS, MaskedMatrix, MaskSpec, generate_mask
 from blockecho.metrics import normalize
 
 
@@ -25,7 +25,7 @@ def build_mask(pattern, m, n, rate, seed):
     except SpecError:
         pass
     try:
-        return gen_scattered(m, n, rate, seed)
+        return generate_mask(MaskSpec("scattered", rate, seed), m, n)
     except SpecError:
         return np.zeros((m, n))
 
