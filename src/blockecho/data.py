@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ParseError, ShapeError, SpecError, ValidationError
-from .kernel import as_matrix, require_int, spawn_rngs
+from .kernel import as_matrix, require_size, spawn_rngs
 from .masking import MaskedMatrix, apply_mask
 from .metrics import wmape
 
@@ -48,9 +48,7 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in SYNTHETIC_KINDS:
             raise SpecError(f"unknown synthetic kind '{self.kind}'")
-        require_int(m=self.m, n=self.n)
-        if self.m < 1 or self.n < 1:
-            raise SpecError(f"matrix size {self.m}x{self.n} is empty")
+        require_size(self.m, self.n)
 
 
 def gen_synthetic(spec: SyntheticSpec) -> MaskedMatrix:

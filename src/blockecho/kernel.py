@@ -289,6 +289,13 @@ def require_int(**values):
             raise SpecError(f"{name} must be an integer, got {value!r}")
 
 
+def require_size(m, n):
+    """SpecError unless the matrix size m x n is two integers, each >= 1."""
+    require_int(m=m, n=n)
+    if m < 1 or n < 1:
+        raise SpecError(f"matrix size {m}x{n} is empty")
+
+
 def require_real(**values):
     """SpecError unless every value is a Python or numpy real number (bool is not)."""
     for name, value in values.items():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SpecError, ValidationError
-from .kernel import as_matrix, make_rng, require_int, require_real
+from .kernel import as_matrix, make_rng, require_int, require_real, require_size
 
 PATTERNS = ("scattered", "uniblock", "multiblock")
 MIN_BLOCK = 4  # minimum block height and width
@@ -205,9 +205,7 @@ def generate_mask(spec: MaskSpec, m, n) -> np.ndarray:
     (an empty matrix, a block that does not fit, a mask that would blank
     every cell, blocks that cannot land within 5%) raises SpecError.
     """
-    require_int(m=m, n=n)
-    if m < 1 or n < 1:
-        raise SpecError(f"matrix size {m}x{n} is empty")
+    require_size(m, n)
     if spec.pattern == "scattered":
         return _scattered(m, n, spec.rate, spec.seed)
     if m < MIN_BLOCK or n < MIN_BLOCK:

@@ -22,6 +22,10 @@ update and after the last one, as scikit-learn's NMF does. It stops once
 the mean relative decrease per update since the previous check falls below
 tol.
 
+Each product of an update has a contiguous right operand, which OpenBLAS's
+small-matrix kernels run fastest (times in _mu_update). At some shapes, as
+48x16 at h=4, that rounds apart from the textbook's strided products.
+
 This pre-training stage produces the anchor embeddings consumed by the
 adversarial imputer, and doubles as the plain matrix factorization
 baseline (impute with U @ V directly).
@@ -120,14 +124,6 @@ def _kl_sum(xv, xh) -> float:
     return total
 
 
-def _dead_axis_warning(kind, count):
-    warnings.warn(
-        f"{count} {kind} have no observed entries; their factors are left unchanged",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
 def mu_step(x, mask, factors: FactorPair) -> FactorPair:
     """One alternating multiplicative update of U then V on observed cells.
 
@@ -148,7 +144,8 @@ def mu_step(x, mask, factors: FactorPair) -> FactorPair:
     for kind, axis in (("rows", 1), ("columns", 0)):
         dead = int(np.sum(~obs.any(axis=axis)))
         if dead:
-            _dead_axis_warning(kind, dead)
+            msg = f"{dead} {kind} have no observed entries; their factors are left unchanged"
+            warnings.warn(msg, RuntimeWarning, stacklevel=2)
     return FactorPair(U2, V2)
 
 
@@ -156,25 +153,30 @@ def _mu_update(x, mask, U, V, xhat):
     """Both half-updates of mu_step from xhat = U @ V, which is overwritten;
     x holds 0 in its unobserved cells, and mask is a float64 0.0/1.0 copy
     of the bool mask, which mu_step and pretrain each make once per call.
-    Returns (U', V').
+    Returns C-contiguous (U', V'), leaving x, mask, U and V as they were.
 
-    Since every factor entry is >= EPS_FLOOR, an update denominator is
-    positive exactly on a row or column with an observed cell; the other
-    factor rows keep multiplier 1. x / xhat is already 0 off the mask, since
-    xhat >= EPS_FLOOR**2 > 0.
+    Every factor entry is >= EPS_FLOOR, so a denominator is positive exactly
+    on a row or column with an observed cell; other rows keep multiplier 1.
+    x / xhat is already 0 off the mask, since xhat >= EPS_FLOOR**2 > 0.
+
+    With r = x / xhat at 720x64, h=16 on one BLAS thread, r @ V.T took 44 us
+    and r @ Vt 25 us, Vt a contiguous copy of V.T, and U2.T @ r 42 us against
+    27 us for r.T @ U2. So the U half multiplies by Vt, and the V half is
+    computed as its n x h transpose, then copied back for the next U @ V.
     """
-    numer = np.divide(x, xhat, out=xhat) @ V.T
-    denom = mask @ V.T
+    Vt = np.ascontiguousarray(V.T)
+    numer = np.divide(x, xhat, out=xhat) @ Vt
+    denom = mask @ Vt
     mult = np.divide(numer, denom, out=np.ones_like(numer), where=denom > 0)
     mult *= U
     U2 = np.maximum(mult, EPS_FLOOR, out=mult)
 
     np.matmul(U2, V, out=xhat)
-    numer = U2.T @ np.divide(x, xhat, out=xhat)
-    denom = U2.T @ mask
+    numer = np.divide(x, xhat, out=xhat).T @ U2
+    denom = mask.T @ U2
     mult = np.divide(numer, denom, out=np.ones_like(numer), where=denom > 0)
-    mult *= V
-    return U2, np.maximum(mult, EPS_FLOOR, out=mult)
+    mult *= Vt
+    return U2, np.ascontiguousarray(np.maximum(mult, EPS_FLOOR, out=mult).T)
 
 
 def init_factors(x, mask, h, seed) -> FactorPair:

@@ -466,3 +466,109 @@ class TestImputeAndIO:
         )
         assert np.allclose(mf.mf_impute(f), mf.EPS_FLOOR**2)
 
+
+
+def textbook_step(x, mask, U, V):
+    """One U-then-V update as the textbook formula, with plain strided
+    products: U' = U * ((M*x/(U@V)) @ V.T) / (M @ V.T), then
+    V' = V * (U'.T @ (M*x/(U'@V))) / (U'.T @ M); multiplier 1 where the
+    denominator is 0 (a row or column with no observed cell), and both
+    floored at EPS_FLOOR."""
+    M = np.asarray(mask, dtype=np.float64)
+
+    def multiplier(numer, denom):
+        return np.divide(numer, denom, out=np.ones_like(numer), where=denom > 0)
+
+    U2 = np.maximum(U * multiplier((M * x / (U @ V)) @ V.T, M @ V.T), mf.EPS_FLOOR)
+    V2 = np.maximum(V * multiplier(U2.T @ (M * x / (U2 @ V)), U2.T @ M), mf.EPS_FLOOR)
+    return U2, V2
+
+
+# (m, n, h) from the smallest factorization up to mf-pretrain's shape;
+# 48x16, h=4 is small-grid's
+TEXTBOOK_SHAPES = [(2, 2, 1), (24, 12, 3), (48, 16, 4), (300, 20, 5), (720, 64, 16)]
+
+
+def textbook_case(m, n, h, pattern, seed=3):
+    """(x, bool mask, FactorPair) at m x n, rank h, under one mask pattern;
+    "dead" blanks row 1 and column 1 of a scattered mask."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.05, 1.0, size=(m, n))
+    if pattern == "multiblock":
+        mask = generate_mask(MaskSpec("multiblock", 0.3, seed, k=2), m, n)
+    else:
+        mask = generate_mask(MaskSpec("scattered", 0.3, seed), m, n)
+    if pattern == "dead":
+        mask[1, :] = False
+        mask[:, 1] = False
+    return x, mask, mf.init_factors(x, mask, h, seed)
+
+
+class TestTextbookFormula:
+    # The updates multiply contiguous operands in the order OpenBLAS runs
+    # fastest, which may sum in another order than the textbook's strided
+    # products: equal to rounding, not bit for bit.
+    # 2x2 fits no 4x4 block, and its dead row and column have their own test
+    @pytest.mark.parametrize("m, n, h, pattern", [
+        (m, n, h, pattern)
+        for m, n, h in TEXTBOOK_SHAPES
+        for pattern in ("scattered", "multiblock", "dead")
+        if pattern == "scattered" or m > 2
+    ])
+    def test_one_mu_step(self, m, n, h, pattern):
+        x, mask, factors = textbook_case(m, n, h, pattern)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = mf.mu_step(x, mask, factors)
+        U2, V2 = textbook_step(x, mask, factors.U, factors.V)
+        np.testing.assert_allclose(out.U, U2, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.V, V2, rtol=1e-12, atol=0)
+        if pattern == "dead":
+            # multiplier 1, the factors of a dead row and column unchanged
+            assert np.array_equal(out.U[1], factors.U[1])
+            assert np.array_equal(out.V[:, 1], factors.V[:, 1])
+
+    def test_two_by_two_dead_row_and_column(self):
+        x = np.array([[0.3, 0.9], [0.5, 0.7]])
+        mask = np.array([[True, False], [False, False]])
+        factors = mf.init_factors(x, mask, 1, 0)
+        with pytest.warns(RuntimeWarning):
+            out = mf.mu_step(x, mask, factors)
+        U2, V2 = textbook_step(x, mask, factors.U, factors.V)
+        np.testing.assert_allclose(out.U, U2, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.V, V2, rtol=1e-12, atol=0)
+        assert out.U[1, 0] == factors.U[1, 0] and out.V[0, 1] == factors.V[0, 1]
+
+    def test_200_pretrain_updates_at_mf_pretrain_shape(self):
+        x, mask, factors = textbook_case(720, 64, 16, "scattered", seed=1)
+        got, trace = mf.pretrain(apply_mask(x, mask), 16, max_iters=200, tol=0.0, seed=1)
+        assert trace.iterations == 200
+        U, V = factors.U, factors.V
+        for _ in range(200):
+            U, V = textbook_step(x, mask, U, V)
+        np.testing.assert_allclose(got.U, U, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(got.V, V, rtol=1e-9, atol=0)
+
+
+class TestLayoutContract:
+    # the next update's U @ V and the U half's products are fastest on
+    # C-contiguous factors, so every update hands them on in that layout
+    @pytest.mark.parametrize("m, n, h", TEXTBOOK_SHAPES)
+    def test_mu_update_returns_c_contiguous_and_reads_its_inputs_only(self, m, n, h):
+        x, mask, factors = textbook_case(m, n, h, "scattered")
+        x = np.where(mask, x, 0.0)
+        fmask = mask.astype(np.float64)
+        U, V = factors.U, factors.V
+        before = [a.tobytes() for a in (x, fmask, U, V)]
+        U2, V2 = mf._mu_update(x, fmask, U, V, U @ V)
+        assert U2.flags.c_contiguous and V2.flags.c_contiguous
+        assert U2.shape == U.shape and V2.shape == V.shape
+        assert [a.tobytes() for a in (x, fmask, U, V)] == before
+
+    @pytest.mark.parametrize("pattern", ["scattered", "dead"])
+    def test_pretrain_returns_c_contiguous_factors(self, pattern):
+        x, mask, _ = textbook_case(48, 16, 4, pattern)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            factors, _ = mf.pretrain(apply_mask(x, mask), 4, max_iters=20, seed=0)
+        assert factors.U.flags.c_contiguous and factors.V.flags.c_contiguous
