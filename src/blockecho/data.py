@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ParseError, ShapeError, SpecError, ValidationError
-from .kernel import as_matrix, require_size, spawn_rngs
+from .kernel import as_matrix, require_int, spawn_rngs
 from .masking import MaskedMatrix, apply_mask
 from .metrics import wmape
 
@@ -48,7 +48,7 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in SYNTHETIC_KINDS:
             raise SpecError(f"unknown synthetic kind '{self.kind}'")
-        require_size(self.m, self.n)
+        require_int(1, m=self.m, n=self.n)
 
 
 def gen_synthetic(spec: SyntheticSpec) -> MaskedMatrix:

@@ -77,7 +77,10 @@ class BlockEchoConfig:
     ``None`` fields are resolved against the data size: h defaults to
     min(16, ceil(min(m, n)/4)) and batch_rows to min(m, 128). The
     architecture is derived from the data, not set: resolved() records it
-    in the non-init *_layers fields (see the module docstring). The hint
+    in the non-init *_layers fields (see the module docstring), after
+    checking every integer field with kernel.require_int: h and batch_rows
+    are at least 1 (batch_rows at most m too), iters, pretrain_iters and
+    seed at least 0, so a bad seed fails here and not inside train. The hint
     rate, the learning rate and pretrain_tol (read by mf.pretrain's
     callers) are constants fixed at the values every run used: a setting
     no run changes only keeps an untested code path alive.
@@ -99,18 +102,14 @@ class BlockEchoConfig:
         """Fill size-dependent defaults and validate against an m x n matrix."""
         h = self.h if self.h is not None else min(16, -(-min(m, n) // 4))
         batch = self.batch_rows if self.batch_rows is not None else min(m, 128)
-        require_int(h=h, iters=self.iters, batch_rows=batch, pretrain_iters=self.pretrain_iters,
-                    seed=self.seed)
+        require_int(1, h=h, batch_rows=batch)
+        require_int(0, iters=self.iters, pretrain_iters=self.pretrain_iters, seed=self.seed)
+        if batch > m:
+            raise SpecError(f"batch_rows {batch} outside 1..{m}")
         require_real(alpha=self.alpha)
         alpha = float(self.alpha)
         if not 0.0 <= alpha <= 1.0:
             raise SpecError(f"alpha must lie in [0, 1], got {alpha}")
-        if self.iters < 0:
-            raise SpecError(f"iters must be >= 0, got {self.iters}")
-        if h < 1:
-            raise SpecError(f"rank h must be at least 1, got {h}")
-        if not 1 <= batch <= m:
-            raise SpecError(f"batch_rows {batch} outside 1..{m}")
         # numpy numbers are stored as Python ints and floats, so to_dict() stays JSON
         h, n = int(h), int(n)
         out = replace(self, h=h, alpha=alpha, batch_rows=int(batch), iters=int(self.iters),
@@ -253,7 +252,8 @@ def _g_objective(model, x, mask, z, hint, y, u_p, alpha):
 
 def _d_step(net, opt, prefix, inp, target):
     """One Adam ascent step of a discriminator on the BCE sum of its scores
-    against the 0/1 target; returns that sum before the step."""
+    against the bool target (True = real, read as 1.0); returns that sum
+    before the step."""
     out, cache = net_forward(net, inp)
     p = _clip_unit(out)
     val = _bce_sum(p, target)
@@ -334,7 +334,6 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     # c > 0 since FactorPair holds U >= EPS_FLOOR
     c = float(pre.U.max()) / 0.95
     pre = FactorPair(np.maximum(pre.U / c, EPS_FLOOR), np.maximum(pre.V * c, EPS_FLOOR))
-    mask = obs.astype(np.float64)  # generator inputs and D2's targets read 0.0/1.0
 
     init_rng, batch_rng, noise_rng, hint_rng, y_rng = spawn_rngs(cfg.seed, 5)
     model = build_model(cfg, pre, init_rng)
@@ -354,12 +353,11 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
         # the batch is sliced from checked inputs and y is a bool draw, so
         # the loop calls the kernel directly
         if cfg.alpha < 1.0:
-            mb = mask[rows]
-            u, _ = net_forward(model.generator, np.hstack([xb, mb, zb]))
+            u, _ = net_forward(model.generator, np.hstack([xb, ob, zb]))
             xhat, _ = _head(model, u)
             hb = build_hint(ob, hint_rng)
             xbar = np.hstack([_assemble(xb, ob, xhat), hb])
-            d2_val = _d_step(model.d2, opt_d2, "d2", xbar, mb)
+            d2_val = _d_step(model.d2, opt_d2, "d2", xbar, ob)
             yb = y_rng.random((cfg.batch_rows, 1)) < 0.5
             d1_val = _d_step(model.d1, opt_d1, "d1", np.where(yb, upb, u), yb)
 
@@ -383,7 +381,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     imputed = np.empty_like(values)
     for start in range(0, m, cfg.batch_rows):
         r = slice(start, start + cfg.batch_rows)
-        u, _ = net_forward(model.generator, np.hstack([values[r], mask[r], z_full[r]]))
+        u, _ = net_forward(model.generator, np.hstack([values[r], obs[r], z_full[r]]))
         xhat, _ = _head(model, u)
         imputed[r] = _assemble(values[r], obs[r], xhat)
     result = ImputationResult(

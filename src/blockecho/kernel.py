@@ -3,7 +3,8 @@
 Matrices are float64 numpy arrays, batch-major at the API: one row per
 sample. On top of them this module provides small fully connected networks
 with exact reverse-mode gradients, an Adam optimizer and seedable PCG64
-random streams.
+random streams, and require_int, the check of every integer argument of
+the package (a size, a count or a seed) against its lower bound.
 
 Inside a network pass the activations are held feature-major, as
 (features, batch), so bias adds and activations sweep the long batch axis
@@ -121,6 +122,7 @@ def init_dense(sizes, activations, rng) -> DenseNet:
         raise ShapeError("need at least an input and an output size")
     if len(activations) != len(sizes) - 1:
         raise ShapeError("one activation per layer required")
+    require_int(1, **{f"sizes[{i}]": size for i, size in enumerate(sizes)})
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -282,18 +284,14 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
     return params
 
 
-def require_int(**values):
-    """SpecError unless every value is a Python or numpy integer (bool is not)."""
+def require_int(low, **values):
+    """SpecError unless every value is a Python or numpy integer (bool is
+    not) and at least low: the one check of every size, count and seed."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise SpecError(f"{name} must be an integer, got {value!r}")
-
-
-def require_size(m, n):
-    """SpecError unless the matrix size m x n is two integers, each >= 1."""
-    require_int(m=m, n=n)
-    if m < 1 or n < 1:
-        raise SpecError(f"matrix size {m}x{n} is empty")
+        if value < low:
+            raise SpecError(f"{name} must be >= {low}, got {value}")
 
 
 def require_real(**values):
@@ -306,29 +304,17 @@ def require_real(**values):
 # ---------------------------------------------------------------------------
 # Random streams (PCG64 behind numpy's Generator).
 
-def _seed(seed) -> int:
-    require_int(seed=seed)
-    seed = int(seed)
-    if seed < 0:
-        raise SpecError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def make_rng(seed) -> np.random.Generator:
-    return np.random.default_rng(_seed(seed))
+    require_int(0, seed=seed)
+    return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed, n: int) -> list:
+def spawn_rngs(seed, n) -> list:
     """n independent child streams of one seed, for per-component use."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(_seed(seed)).spawn(n)]
-
-
-def _require_dims(rows, cols):
-    require_int(rows=rows, cols=cols)
-    if rows < 0 or cols < 0:
-        raise SpecError(f"draw size {rows}x{cols} is negative")
+    require_int(0, seed=seed, n=n)
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 def uniform(rng, rows, cols, low=0.0, high=1.0) -> np.ndarray:
-    _require_dims(rows, cols)
+    require_int(0, rows=rows, cols=cols)
     return rng.uniform(low, high, size=(rows, cols))

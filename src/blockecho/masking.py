@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SpecError, ValidationError
-from .kernel import as_matrix, make_rng, require_int, require_real, require_size
+from .kernel import as_matrix, make_rng, require_int, require_real
 
 PATTERNS = ("scattered", "uniblock", "multiblock")
 MIN_BLOCK = 4  # minimum block height and width
@@ -30,7 +30,7 @@ PLACE_TRIES = 60      # random positions tried per block within one start
 @dataclass(frozen=True)
 class MaskSpec:
     """What to generate: pattern, target missing rate, seed, and k, the
-    block count of multiblock (0 for the other patterns)."""
+    block count of multiblock (at least 2; 0 for the other patterns)."""
 
     pattern: str
     rate: float
@@ -40,12 +40,10 @@ class MaskSpec:
     def __post_init__(self):
         if self.pattern not in PATTERNS:
             raise SpecError(f"unknown pattern '{self.pattern}' (choose from {PATTERNS})")
-        require_int(k=self.k)
+        require_int(2 if self.pattern == "multiblock" else 0, k=self.k)
         require_real(rate=self.rate)
         if not 0.0 < self.rate < 1.0:
             raise SpecError(f"rate must lie in (0, 1), got {self.rate}")
-        if self.pattern == "multiblock" and self.k < 2:
-            raise SpecError(f"multiblock needs k >= 2, got {self.k}")
         if self.pattern != "multiblock" and self.k != 0:
             raise SpecError(f"{self.pattern} takes no k, got {self.k}")
 
@@ -205,7 +203,7 @@ def generate_mask(spec: MaskSpec, m, n) -> np.ndarray:
     (an empty matrix, a block that does not fit, a mask that would blank
     every cell, blocks that cannot land within 5%) raises SpecError.
     """
-    require_size(m, n)
+    require_int(1, m=m, n=n)
     if spec.pattern == "scattered":
         return _scattered(m, n, spec.rate, spec.seed)
     if m < MIN_BLOCK or n < MIN_BLOCK:

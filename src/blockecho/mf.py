@@ -49,7 +49,8 @@ CHECK_EVERY = 10  # updates between two loss evaluations in pretrain
 
 @dataclass
 class FactorPair:
-    """Row embeddings U (m x h) and column embeddings V (h x n), entries >= EPS_FLOOR."""
+    """Row embeddings U (m x h) and column embeddings V (h x n), entries
+    finite and >= EPS_FLOOR."""
 
     U: np.ndarray
     V: np.ndarray
@@ -59,11 +60,11 @@ class FactorPair:
         self.V = as_matrix(self.V)
         if self.U.shape[1] != self.V.shape[0]:
             raise ShapeError(f"U is {self.U.shape}, V is {self.V.shape}: inner dims differ")
-        if self.U.shape[1] < 1:
-            raise SpecError("rank h must be at least 1")
+        require_int(1, h=self.U.shape[1])
         # written so that NaN fails it too
-        if not (np.min(self.U) >= EPS_FLOOR and np.min(self.V) >= EPS_FLOOR):
-            raise ValidationError(f"factor entries must be >= {EPS_FLOOR}")
+        for f in (self.U, self.V):
+            if not (np.min(f) >= EPS_FLOOR and np.max(f) < np.inf):
+                raise ValidationError(f"factor entries must be finite and >= {EPS_FLOOR}")
 
     @property
     def h(self):
@@ -184,9 +185,7 @@ def init_factors(x, mask, h, seed) -> FactorPair:
     mean, which puts the first update multipliers near 1."""
     x = as_matrix(x)
     obs = as_mask(mask, x.shape)
-    require_int(h=h)
-    if h < 1:
-        raise SpecError(f"rank h must be at least 1, got {h}")
+    require_int(1, h=h)
     rng = make_rng(seed)
     m, n = x.shape
     U = rng.uniform(0.1, 1.1, size=(m, h))
@@ -215,10 +214,8 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
     instead of its random initialization. Returns (FactorPair, MfTrace);
     deterministic for a given seed.
     """
-    require_int(h=h, max_iters=max_iters)
+    require_int(0, max_iters=max_iters)  # init_factors checks h
     require_real(tol=tol)
-    if max_iters < 0:
-        raise SpecError(f"max_iters must be >= 0, got {max_iters}")
     if not 0.0 <= tol < np.inf:  # written so that NaN fails it too
         raise SpecError(f"tol must be finite and >= 0, got {tol}")
     max_iters = int(max_iters)  # so that MfTrace.iterations is a Python int

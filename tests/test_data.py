@@ -210,13 +210,13 @@ def test_malformed_argument_names_itself(make, field):
     (0, 5), (3, 0), (-1, -5), (-2, 3), (2.5, 4), (4, "8"), (True, 4), (np.int64(0), 2),
 ])
 def test_size_checked_as_generate_mask_checks_it(m, n):
-    # both read the size through kernel.require_size: same class, same words
+    # both read the size through kernel.require_int: same class, same words
     with pytest.raises(SpecError) as spec_err:
         D.SyntheticSpec("lowrank_poisson", m, n)
     with pytest.raises(SpecError) as mask_err:
         generate_mask(MaskSpec("scattered", 0.3, 0), m, n)
     assert str(spec_err.value) == str(mask_err.value)
-    assert str(spec_err.value).startswith(("matrix size", "m must", "n must"))
+    assert str(spec_err.value).startswith(("m must", "n must"))
 
 
 class TestForecast:

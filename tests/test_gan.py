@@ -510,6 +510,22 @@ class TestTrain:
         with pytest.raises(ValidationError, match="finite"):
             G.train(xm, pre, G.BlockEchoConfig(h=2, iters=2))
 
+    @pytest.mark.parametrize("where", ["U", "V"])
+    @pytest.mark.parametrize("entry", ["FactorPair", "mu_step", "train"])
+    def test_infinite_factor_rejected(self, entry, where):
+        # min >= EPS_FLOOR once let inf through, and train and mu_step then
+        # raised a stray RuntimeWarning
+        xm, _ = toy_instance(m=8, n=5, seed=4)
+        factors = {"U": np.full((8, 2), 0.5), "V": np.full((2, 5), 0.5)}
+        factors[where][1, 1] = np.inf
+        call = {
+            "FactorPair": lambda: mf.FactorPair(**factors),
+            "mu_step": lambda: mf.mu_step(xm.values, xm.mask, mf.FactorPair(**factors)),
+            "train": lambda: G.train(xm, mf.FactorPair(**factors), G.BlockEchoConfig(h=2, iters=2)),
+        }[entry]
+        with pytest.raises(ValidationError, match="finite"):
+            call()
+
     def test_missing_pretrain_rejected(self):
         xm, _ = toy_instance()
         with pytest.raises(SpecError, match="pre-trained"):

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -397,18 +398,6 @@ class TestRng:
         vals = K.uniform(K.make_rng(11), 100, 100)
         assert abs(vals.mean() - 0.5) < 0.02
 
-    @pytest.mark.parametrize("draw", [K.uniform], ids=["uniform"])
-    @pytest.mark.parametrize("rows, cols, match", [
-        (-1, 2, "^draw size -1x2 is negative"),
-        (2, -3, "^draw size 2x-3 is negative"),
-        (2.5, 2, "^rows must be an integer"),
-        (2, "3", "^cols must be an integer"),
-    ])
-    def test_draw_rejects_bad_size(self, draw, rows, cols, match):
-        # uniform(rng, -1, 2) once surfaced as numpy's ValueError
-        with pytest.raises(SpecError, match=match):
-            draw(K.make_rng(0), rows, cols)
-
     def test_empty_draw_allowed(self):
         assert K.uniform(K.make_rng(0), 0, 3).shape == (0, 3)
 
@@ -456,6 +445,72 @@ def test_numpy_integer_seed_gives_the_int_stream():
     assert np.array_equal(K.make_rng(np.int64(7)).random(4), K.make_rng(7).random(4))
     for a, b in zip(K.spawn_rngs(np.uint64(7), 2), K.spawn_rngs(7, 2)):
         assert np.array_equal(a.random(4), b.random(4))
+
+
+_XM4 = masking.apply_mask(np.ones((4, 4)), np.ones((4, 4)))
+
+
+def _mask(m=8, n=8, seed=0):
+    return masking.generate_mask(masking.MaskSpec("scattered", 0.3, seed), m, n)
+
+
+def _resolve(field):
+    return lambda v: gan.BlockEchoConfig(**{field: v}).resolved(10, 10)
+
+
+# every argument that is a size, a count or a seed, as "taker.argument":
+# (its lower bound, a call with the value v there). Each reads v through
+# kernel.require_int. uniform(rng, -1, 2) once surfaced as numpy's
+# ValueError, spawn_rngs(0, -1) as OverflowError and init_dense([2.5, 3])
+# as TypeError, and init_dense([0, 3]) built a layer of 0 rows.
+INT_TAKERS = {
+    "MaskSpec.k": (0, lambda v: masking.MaskSpec("scattered", 0.3, 0, k=v)),
+    "MaskSpec(multiblock).k": (2, lambda v: masking.MaskSpec("multiblock", 0.3, 0, k=v)),
+    "generate_mask.m": (1, lambda v: _mask(m=v)),
+    "generate_mask.n": (1, lambda v: _mask(n=v)),
+    "generate_mask.seed": (0, lambda v: _mask(seed=v)),
+    "SyntheticSpec.m": (1, lambda v: data.SyntheticSpec("lowrank_poisson", v, 5)),
+    "SyntheticSpec.n": (1, lambda v: data.SyntheticSpec("lowrank_poisson", 5, v)),
+    "gen_synthetic.seed": (
+        0, lambda v: data.gen_synthetic(data.SyntheticSpec("lowrank_poisson", 5, 5, v))),
+    "make_rng.seed": (0, K.make_rng),
+    "spawn_rngs.seed": (0, lambda v: K.spawn_rngs(v, 2)),
+    "spawn_rngs.n": (0, lambda v: K.spawn_rngs(0, v)),
+    "uniform.rows": (0, lambda v: K.uniform(K.make_rng(0), v, 2)),
+    "uniform.cols": (0, lambda v: K.uniform(K.make_rng(0), 2, v)),
+    "init_dense.sizes[0]": (1, lambda v: K.init_dense([v, 3], ["relu"], K.make_rng(0))),
+    "init_dense.sizes[1]": (1, lambda v: K.init_dense([3, v], ["relu"], K.make_rng(0))),
+    "init_factors.h": (1, lambda v: mf.init_factors(np.ones((3, 3)), np.ones((3, 3)), v, 0)),
+    "init_factors.seed": (0, lambda v: mf.init_factors(np.ones((3, 3)), np.ones((3, 3)), 2, v)),
+    "pretrain.h": (1, lambda v: mf.pretrain(_XM4, v, max_iters=2)),
+    "pretrain.max_iters": (0, lambda v: mf.pretrain(_XM4, 2, max_iters=v)),
+    "pretrain.seed": (0, lambda v: mf.pretrain(_XM4, 2, max_iters=2, seed=v)),
+    "resolved.h": (1, _resolve("h")),
+    "resolved.batch_rows": (1, _resolve("batch_rows")),
+    "resolved.iters": (0, _resolve("iters")),
+    "resolved.pretrain_iters": (0, _resolve("pretrain_iters")),
+    "resolved.seed": (0, _resolve("seed")),
+}
+
+
+@pytest.mark.parametrize("name", INT_TAKERS)
+class TestEveryIntTakerChecksIt:
+    @pytest.mark.parametrize("kind", ["bool", "float", "str", "below"])
+    def test_bad_value_names_the_argument(self, name, kind):
+        low, call = INT_TAKERS[name]
+        bad = {"bool": True, "float": float(low), "str": str(low), "below": low - 1}[kind]
+        argument = re.escape(name.split(".", 1)[1])
+        if kind == "below":
+            match = f"^{argument} must be >= {low}, got {bad}$"
+        else:
+            match = f"^{argument} must be an integer"
+        with pytest.raises(SpecError, match=match):
+            call(bad)
+
+    def test_the_bound_itself_passes(self, name):
+        low, call = INT_TAKERS[name]
+        call(low)
+        call(np.int64(low))
 
 
 class TestAsMatrix:
