@@ -18,7 +18,8 @@ and the rank h alone, with one relu hidden layer and a sigmoid output:
 The estimate is U @ V clipped entrywise to [EPS_NORM, 1], the range of
 normalized data, by a fixed completion head (see init_head): the low-rank
 structure passes through unchanged and a factorization that blows up is
-capped at 1. The head has no trainable weights.
+capped at 1. The head has no trainable weights. _estimate is the one
+forward of G and the head, which each training phase and the final pass call.
 
 Training alternates discriminator ascent on their log-likelihood
 objectives (_d_step) with generator descent on
@@ -33,11 +34,11 @@ of the head and G; the test suite checks it against central finite
 differences. All three optimizers are Adam at the one learning rate LR.
 The final imputation runs from the weights the last Adam step wrote,
 batch_rows rows at a time: of its arrays only the noise draw and the
-imputed matrix have a row per data row.
+imputed matrix have a row per data row. ImputationResult holds the
+imputed matrix and loss_trace, the losses per iteration.
 """
 
-import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -107,23 +108,13 @@ class BlockEchoConfig:
         if batch > m:
             raise SpecError(f"batch_rows {batch} outside 1..{m}")
         require_real(alpha=self.alpha)
-        alpha = float(self.alpha)
-        if not 0.0 <= alpha <= 1.0:
-            raise SpecError(f"alpha must lie in [0, 1], got {alpha}")
-        # numpy numbers are stored as Python ints and floats, so to_dict() stays JSON
-        h, n = int(h), int(n)
-        out = replace(self, h=h, alpha=alpha, batch_rows=int(batch), iters=int(self.iters),
-                      pretrain_iters=int(self.pretrain_iters), seed=int(self.seed))
+        if not 0.0 <= self.alpha <= 1.0:
+            raise SpecError(f"alpha must lie in [0, 1], got {self.alpha}")
+        # a numpy float alpha would run the loss arithmetic in its own precision
+        out = replace(self, h=h, alpha=float(self.alpha), batch_rows=batch)
         for name, sizes in (("g_layers", (2 * n + h, n, h)), ("d1_layers", (h, h, 1)),
                             ("d2_layers", (2 * n, n, n)), ("mcl_layers", (1, 2, 1))):
             object.__setattr__(out, name, sizes)
-        return out
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("g_layers", "d1_layers", "d2_layers", "mcl_layers"):
-            if out[key] is not None:
-                out[key] = list(out[key])
         return out
 
 
@@ -140,8 +131,6 @@ class EchoModel:
 class ImputationResult:
     imputed: np.ndarray
     loss_trace: dict      # lists per iteration: d1, d2, mf_term, g_total
-    config: dict
-    wall_time: float
 
 
 def build_hint(mask, rng) -> np.ndarray:
@@ -173,13 +162,14 @@ def _assemble(values, mask, xhat):
     return np.where(mask, values, xhat)
 
 
-def _head(model, u):
-    """(estimate, head cache) of generator embeddings u, unchecked: the
-    estimate is the completion head, clip to [EPS_NORM, 1], applied
-    entrywise to u @ V."""
+def _estimate(model, x, mask, z):
+    """(u, xhat, G's cache, the head's cache) of one batch, unchecked: G maps
+    each row (x | mask | z) to its embedding u, and the estimate xhat is the
+    completion head, clip to [EPS_NORM, 1], applied entrywise to u @ V."""
+    u, g_cache = net_forward(model.generator, np.hstack([x, mask, z]))
     p = u @ model.V
-    out, cache = net_forward(model.mcl, p.reshape(-1, 1))
-    return out.reshape(p.shape), cache
+    xhat, mcl_cache = net_forward(model.mcl, p.reshape(-1, 1))
+    return u, xhat.reshape(p.shape), g_cache, mcl_cache
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +194,7 @@ def _g_objective(model, x, mask, z, hint, y, u_p, alpha):
     are read only when alpha < 1. grads is the exact gradient of total,
     keyed as _g_params names the arrays. No argument is written.
     """
-    u, g_cache = net_forward(model.generator, np.hstack([x, mask, z]))
-    xhat, mcl_cache = _head(model, u)
+    u, xhat, g_cache, mcl_cache = _estimate(model, x, mask, z)
     d_xhat, d_u = np.zeros_like(xhat), np.zeros_like(u)
     adv1 = adv2 = recon = 0.0
 
@@ -312,7 +301,6 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
 
     Returns (EchoModel, ImputationResult); deterministic per seed.
     """
-    t0 = time.perf_counter()
     values, obs = xm.values, xm.mask
     m, n = values.shape
     cfg = cfg.resolved(m, n)
@@ -345,7 +333,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
         rows = np.sort(batch_rng.choice(m, size=cfg.batch_rows, replace=False))
         xb = values[rows]
         ob = obs[rows]
-        zb = uniform(noise_rng, cfg.batch_rows, cfg.h, 0.0, NOISE_HIGH)
+        zb = uniform(noise_rng, cfg.batch_rows, cfg.h, NOISE_HIGH)
         upb = pre.U[rows]
         hb = yb = None
         d1_val = d2_val = float("nan")
@@ -353,8 +341,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
         # the batch is sliced from checked inputs and y is a bool draw, so
         # the loop calls the kernel directly
         if cfg.alpha < 1.0:
-            u, _ = net_forward(model.generator, np.hstack([xb, ob, zb]))
-            xhat, _ = _head(model, u)
+            u, xhat, _, _ = _estimate(model, xb, ob, zb)
             hb = build_hint(ob, hint_rng)
             xbar = np.hstack([_assemble(xb, ob, xhat), hb])
             d2_val = _d_step(model.d2, opt_d2, "d2", xbar, ob)
@@ -377,18 +364,11 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
     # one noise draw for the whole matrix, consumed batch_rows rows at a
     # time: rows are mapped independently, so only z_full and imputed have m
     # rows, and the head's (width, cells) temporaries stay batch-sized
-    z_full = uniform(noise_rng, m, cfg.h, 0.0, NOISE_HIGH)
+    z_full = uniform(noise_rng, m, cfg.h, NOISE_HIGH)
     imputed = np.empty_like(values)
     for start in range(0, m, cfg.batch_rows):
         r = slice(start, start + cfg.batch_rows)
-        u, _ = net_forward(model.generator, np.hstack([values[r], obs[r], z_full[r]]))
-        xhat, _ = _head(model, u)
+        _, xhat, _, _ = _estimate(model, values[r], obs[r], z_full[r])
         imputed[r] = _assemble(values[r], obs[r], xhat)
-    result = ImputationResult(
-        imputed=imputed,
-        loss_trace=trace,
-        config=cfg.to_dict(),
-        wall_time=time.perf_counter() - t0,
-    )
-    return model, result
+    return model, ImputationResult(imputed, trace)
 

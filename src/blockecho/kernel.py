@@ -20,6 +20,7 @@ Everything here is deterministic given explicit inputs and RNG state.
 """
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,6 +316,11 @@ def spawn_rngs(seed, n) -> list:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def uniform(rng, rows, cols, low=0.0, high=1.0) -> np.ndarray:
+def uniform(rng, rows, cols, high=1.0) -> np.ndarray:
+    """A rows x cols draw, uniform on [0, high); high is a finite real > 0."""
     require_int(0, rows=rows, cols=cols)
-    return rng.uniform(low, high, size=(rows, cols))
+    require_real(high=high)
+    # Python compares an int beyond float64's range exactly, and NaN fails too
+    if not 0.0 < high <= sys.float_info.max:
+        raise SpecError(f"high must be finite and > 0, got {high}")
+    return rng.uniform(0.0, high, size=(rows, cols))

@@ -61,6 +61,8 @@ class FactorPair:
         if self.U.shape[1] != self.V.shape[0]:
             raise ShapeError(f"U is {self.U.shape}, V is {self.V.shape}: inner dims differ")
         require_int(1, h=self.U.shape[1])
+        if not (self.U.size and self.V.size):
+            raise ShapeError(f"U is {self.U.shape}, V is {self.V.shape}: no rows or no columns")
         # written so that NaN fails it too
         for f in (self.U, self.V):
             if not (np.min(f) >= EPS_FLOOR and np.max(f) < np.inf):

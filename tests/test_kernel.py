@@ -401,6 +401,19 @@ class TestRng:
     def test_empty_draw_allowed(self):
         assert K.uniform(K.make_rng(0), 0, 3).shape == (0, 3)
 
+    def test_draw_is_numpys_uniform_from_zero(self):
+        a = K.uniform(K.make_rng(3), 4, 5, 0.01)
+        b = K.make_rng(3).uniform(0.0, 0.01, size=(4, 5))
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    # -1.0 once raised numpy's ValueError, nan and inf an OverflowError,
+    # and 0.0 and True drew quietly
+    @pytest.mark.parametrize("high", [-1.0, np.nan, np.inf, 0.0, True, "1",
+                                      pytest.param(10**400, id="int-beyond-float64")])
+    def test_bad_high_rejected(self, high):
+        with pytest.raises(SpecError, match="high must be"):
+            K.uniform(K.make_rng(0), 2, 2, high)
+
     def test_spawned_streams_differ(self):
         r1, r2 = K.spawn_rngs(3, 2)
         assert not np.array_equal(r1.random(8), r2.random(8))

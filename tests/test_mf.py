@@ -450,6 +450,13 @@ class TestImputeAndIO:
         with pytest.raises(SpecError):
             mf.init_factors(np.ones((3, 3)), np.ones((3, 3)), 0, 0)
 
+    @pytest.mark.parametrize("u_shape, v_shape", [((0, 2), (2, 3)), ((3, 2), (2, 0)),
+                                                  ((0, 1), (1, 0))])
+    def test_empty_pair_rejected(self, u_shape, v_shape):
+        # np.min of an empty factor once raised numpy's ValueError
+        with pytest.raises(ShapeError, match="no rows or no columns"):
+            mf.FactorPair(np.ones(u_shape), np.ones(v_shape))
+
     def test_nan_factor_rejected(self):
         # NaN compares false against the floor, so the check must be
         # written as "not >= EPS_FLOOR" to catch it
