@@ -9,11 +9,11 @@ and the rank h alone, with one relu hidden layer and a sigmoid output:
   pre-trained factorization;
 * two discriminators: a row-level one (D1, h -> h -> 1) that tells
   generator embeddings from pre-trained factorization embeddings (mixed
-  row-wise by a random 0/1 vector), and an element-level one (D2,
-  2n -> n -> n) that, given the assembled matrix and a hint copy of the
-  mask with a fraction 1 - HINT_RATE of entries blanked to 1/2, scores
-  each cell as observed or imputed. Both always take part unless
-  alpha = 1.
+  row-wise by mix_rows under a random bool vector, in both training
+  phases), and an element-level one (D2, 2n -> n -> n) that, given the
+  assembled matrix and a hint copy of the mask with a fraction
+  1 - HINT_RATE of entries blanked to 1/2, scores each cell as observed
+  or imputed. Both always take part unless alpha = 1.
 
 The estimate is U @ V clipped entrywise to [EPS_NORM, 1], the range of
 normalized data, by a fixed completion head (see init_head): the low-rank
@@ -26,9 +26,10 @@ objectives (_d_step) with generator descent on
 
     (1 - alpha) * adversarial terms  +  alpha * masked reconstruction,
 
-where the reconstruction term is the generalized KL divergence of observed
-cells through the completion head. _g_objective writes this objective and
-its exact reverse-mode gradient once: each discriminator term's forward,
+where the reconstruction term is mf.kl_loss, the generalized KL divergence,
+of the observed cells through the completion head; train checks those
+cells once, on entry. _g_objective writes this objective and its exact
+reverse-mode gradient once: each discriminator term's forward,
 loss and backward side by side, then the KL term, then the backward passes
 of the head and G; the test suite checks it against central finite
 differences. All three optimizers are Adam at the one learning rate LR.
@@ -48,7 +49,7 @@ from .kernel import (
     AdamState,
     DenseNet,
     adam_step,
-    as_matrix,
+    as_matrix,  # noqa: F401  not called here, but perfbench's tracer patches gan.as_matrix
     init_dense,
     net_backward,
     net_forward,
@@ -141,12 +142,9 @@ def build_hint(mask, rng) -> np.ndarray:
 
 
 def mix_rows(u_p, u, y) -> np.ndarray:
-    """Row i of the result is u_p's row where y_i = 1, else u's row."""
-    u_p = as_matrix(u_p)
-    u = as_matrix(u)
-    if u_p.shape != u.shape:
-        raise ShapeError(f"embedding shapes differ: {u_p.shape} vs {u.shape}")
-    return np.where(as_mask(y, (u.shape[0], 1)), u_p, u)
+    """D1's input: row i is u_p's row where y_i is True, else u's row; y is
+    the bool (rows, 1) draw of the loop, read unchecked."""
+    return np.where(y, u_p, u)
 
 
 def _clip_unit(p):
@@ -216,7 +214,7 @@ def _g_objective(model, x, mask, z, hint, y, u_p, alpha):
         d_xhat += d_in[:, : model.V.shape[1]] * fake
 
         fake = ~y
-        out, cache = net_forward(model.d1, np.where(y, u_p, u))
+        out, cache = net_forward(model.d1, mix_rows(u_p, u, y))
         p = _clip_unit(out)
         adv1 = -float(np.sum(fake * np.log(p)))
         d_out = np.where(fake & _in_range(out), -(1.0 - alpha) / p, 0.0)
@@ -225,8 +223,9 @@ def _g_objective(model, x, mask, z, hint, y, u_p, alpha):
         d_u += d_ud * fake
 
     if alpha > 0.0:
-        # kl_loss and the division need xhat > 0: the head's floor is EPS_NORM
-        recon = kl_loss(x, xhat, mask)
+        # kl_loss and the division need xhat > 0: the head's floor is EPS_NORM;
+        # train checked the observed values on entry
+        recon = kl_loss(x[mask], xhat[mask])
         d_xhat += alpha * np.where(mask, 1.0 - x / xhat, 0.0)
 
     _, d_flat = net_backward(model.mcl, mcl_cache, d_xhat.reshape(-1, 1), params=False)
@@ -346,7 +345,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
             xbar = np.hstack([_assemble(xb, ob, xhat), hb])
             d2_val = _d_step(model.d2, opt_d2, "d2", xbar, ob)
             yb = y_rng.random((cfg.batch_rows, 1)) < 0.5
-            d1_val = _d_step(model.d1, opt_d1, "d1", np.where(yb, upb, u), yb)
+            d1_val = _d_step(model.d1, opt_d1, "d1", mix_rows(upb, u, yb), yb)
 
         g_total, recon, grads = _g_objective(model, xb, ob, zb, hb, yb, upb, cfg.alpha)
         adam_step(opt_g, g_params, grads)

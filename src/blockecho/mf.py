@@ -23,22 +23,25 @@ the mean relative decrease per update since the previous check falls below
 tol.
 
 Each product of an update has a contiguous right operand, which OpenBLAS's
-small-matrix kernels run fastest (times in _mu_update). At some shapes, as
+small-matrix kernels run fastest (times in mu_step). At some shapes, as
 48x16 at h=4, that rounds apart from the textbook's strided products.
+
+pretrain is the checked entry point: it checks its inputs once, then runs
+the two primitives, mu_step for one update and kl_loss for one loss
+evaluation, on the arrays it prepared, which they read unchecked.
 
 This pre-training stage produces the anchor embeddings consumed by the
 adversarial imputer, and doubles as the plain matrix factorization
 baseline (impute with U @ V directly).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvaluationError, ShapeError, SpecError, ValidationError
 from .kernel import as_matrix, make_rng, require_int, require_real
-from .masking import MaskedMatrix, apply_mask, as_mask
+from .masking import MaskedMatrix
 
 EPS_FLOOR = 1e-8  # positivity floor keeping KL and the updates defined
 
@@ -81,32 +84,14 @@ class MfTrace:
     converged: bool
 
 
-def kl_loss(x, xhat, mask) -> float:
-    """Generalized KL divergence over observed cells (x = 0 contributes xhat)."""
-    x = as_matrix(x)
-    xhat = as_matrix(xhat)
-    if x.shape != xhat.shape:
-        raise ShapeError(f"x {x.shape} != xhat {xhat.shape}")
-    obs = as_mask(mask, x.shape)
-    return _kl_sum(_check_observed(x[obs]), xhat[obs])
-
-
-def _check_observed(xv):
-    """xv, the observed values, or ValidationError unless all are finite and >= 0."""
-    # written so that NaN fails it too
-    if not np.all((xv >= 0) & (xv < np.inf)):
-        raise ValidationError(
-            "observed values must be finite and nonnegative; run metrics.normalize first"
-        )
-    return xv
-
-
-def _kl_sum(xv, xh) -> float:
-    """KL of observed values xv against their estimates xh, both gathered in
-    the same order; xh is overwritten. Where x = 0 the log's ratio is xh / xh
-    = 1, so the cell contributes its limit xh. Where the ratio x / xhat
-    leaves the float64 range its log is inf or -inf, and the cell takes
-    log x - log xhat instead. EvaluationError if the loss overflows."""
+def kl_loss(xv, xh) -> float:
+    """Generalized KL divergence of observed values xv against their
+    estimates xh, both gathered in the same order; xh is overwritten. xv is
+    read as given: pretrain checks it once, train checks its data on entry.
+    Where x = 0 the log's ratio is xh / xh = 1, so the cell contributes its
+    limit xh. Where the ratio x / xhat leaves the float64 range its log is
+    inf or -inf, and the cell takes log x - log xhat instead.
+    EvaluationError if the loss overflows."""
     # written so that NaN fails it too
     if not np.all((xh > 0) & (xh < np.inf)):
         raise ValidationError("estimates must be finite and strictly positive for the KL loss")
@@ -127,39 +112,16 @@ def _kl_sum(xv, xh) -> float:
     return total
 
 
-def mu_step(x, mask, factors: FactorPair) -> FactorPair:
-    """One alternating multiplicative update of U then V on observed cells.
-
-    The mask must be binary and the observed values finite and >= 0, as in
-    pretrain. Rows/columns without any observed entry have a zero update
-    denominator; those factor rows are left unchanged (and flagged with a
-    warning).
-    """
-    # checks the shapes, the binary mask and finite observed values; the
-    # unobserved cells get the sentinel 0.0, as _mu_update's x needs
-    xm = apply_mask(x, mask)
-    U, V = factors.U, factors.V
-    if xm.shape != (U.shape[0], V.shape[1]):
-        raise ShapeError(f"data {xm.shape} and factors {U.shape}/{V.shape} differ")
-    obs = xm.mask
-    _check_observed(xm.values[obs])
-    U2, V2 = _mu_update(xm.values, obs.astype(np.float64), U, V, U @ V)
-    for kind, axis in (("rows", 1), ("columns", 0)):
-        dead = int(np.sum(~obs.any(axis=axis)))
-        if dead:
-            msg = f"{dead} {kind} have no observed entries; their factors are left unchanged"
-            warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return FactorPair(U2, V2)
-
-
-def _mu_update(x, mask, U, V, xhat):
-    """Both half-updates of mu_step from xhat = U @ V, which is overwritten;
-    x holds 0 in its unobserved cells, and mask is a float64 0.0/1.0 copy
-    of the bool mask, which mu_step and pretrain each make once per call.
-    Returns C-contiguous (U', V'), leaving x, mask, U and V as they were.
+def mu_step(x, mask, U, V, xhat):
+    """One alternating multiplicative update of U then V on observed cells,
+    from xhat = U @ V, which is overwritten. x holds 0 in its unobserved
+    cells and mask is a float64 0.0/1.0 copy of the bool mask, both made
+    once by pretrain, which checks them. Returns C-contiguous (U', V'),
+    leaving x, mask, U and V as they were.
 
     Every factor entry is >= EPS_FLOOR, so a denominator is positive exactly
-    on a row or column with an observed cell; other rows keep multiplier 1.
+    on a row or column with an observed cell; other rows keep multiplier 1,
+    so their factors are left unchanged.
     x / xhat is already 0 off the mask, since xhat >= EPS_FLOOR**2 > 0.
 
     With r = x / xhat at 720x64, h=16 on one BLAS thread, r @ V.T took 44 us
@@ -182,25 +144,6 @@ def _mu_update(x, mask, U, V, xhat):
     return U2, np.ascontiguousarray(np.maximum(mult, EPS_FLOOR, out=mult).T)
 
 
-def init_factors(x, mask, h, seed) -> FactorPair:
-    """Uniform [0.1, 1.1] factors rescaled so mean(U @ V) matches the observed
-    mean, which puts the first update multipliers near 1."""
-    x = as_matrix(x)
-    obs = as_mask(mask, x.shape)
-    require_int(1, h=h)
-    rng = make_rng(seed)
-    m, n = x.shape
-    U = rng.uniform(0.1, 1.1, size=(m, h))
-    V = rng.uniform(0.1, 1.1, size=(h, n))
-    target = float(np.mean(x[obs])) if obs.any() else 1.0
-    current = float(np.mean(U @ V))
-    if target > 0 and current > 0:
-        scale = np.sqrt(target / current)
-        U *= scale
-        V *= scale
-    return FactorPair(np.maximum(U, EPS_FLOOR), np.maximum(V, EPS_FLOOR))
-
-
 def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, seed=0):
     """Run mu_step until the loss converges or max_iters updates have run.
 
@@ -216,7 +159,8 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
     instead of its random initialization. Returns (FactorPair, MfTrace);
     deterministic for a given seed.
     """
-    require_int(0, max_iters=max_iters)  # init_factors checks h
+    require_int(1, h=h)
+    require_int(0, max_iters=max_iters)
     require_real(tol=tol)
     if not 0.0 <= tol < np.inf:  # written so that NaN fails it too
         raise SpecError(f"tol must be finite and >= 0, got {tol}")
@@ -226,25 +170,40 @@ def pretrain(xm: MaskedMatrix, h, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, 
         raise SpecError("cannot factorize: the mask has no observed entries")
     # loss checks gather by flat index, 5x faster than by obs at 720x64
     idx = np.flatnonzero(obs)
-    xv = _check_observed(x.ravel()[idx])
+    xv = x.ravel()[idx]
+    # written so that NaN fails it too
+    if not np.all((xv >= 0) & (xv < np.inf)):
+        raise ValidationError(
+            "observed values must be finite and nonnegative; run metrics.normalize first"
+        )
     mask = obs.astype(np.float64)  # the updates' products read 0.0/1.0
-    # the updates floor U and V at EPS_FLOOR, so FactorPair checks them once, at return
-    init = init_factors(x, obs, h, seed)
-    U, V = init.U, init.V
+    # uniform [0.1, 1.1] factors rescaled so that mean(U @ V) matches the
+    # observed mean, which puts the first update multipliers near 1
+    rng = make_rng(seed)
+    m, n = x.shape
+    U = rng.uniform(0.1, 1.1, size=(m, h))
+    V = rng.uniform(0.1, 1.1, size=(h, n))
+    target = float(np.mean(xv))
+    if target > 0:
+        scale = np.sqrt(target / float(np.mean(U @ V)))
+        U *= scale
+        V *= scale
+    # the updates keep U and V >= EPS_FLOOR, so FactorPair checks them once, at return
+    U, V = np.maximum(U, EPS_FLOOR), np.maximum(V, EPS_FLOOR)
     # xhat = U @ V of the current factors: a check reads it, then the next
     # update starts from it and reuses its memory for the update ratios
     xhat = U @ V
-    losses = [_kl_sum(xv, xhat.ravel()[idx])]
+    losses = [kl_loss(xv, xhat.ravel()[idx])]
     converged = False
     iterations = 0
     while iterations < max_iters:
         steps = min(CHECK_EVERY, max_iters - iterations)
         for _ in range(steps):
             # rows and columns without observed cells are dealt with after the loop
-            U, V = _mu_update(x, mask, U, V, xhat)
+            U, V = mu_step(x, mask, U, V, xhat)
             np.matmul(U, V, out=xhat)
         iterations += steps
-        losses.append(_kl_sum(xv, xhat.ravel()[idx]))
+        losses.append(kl_loss(xv, xhat.ravel()[idx]))
         prev, cur = losses[-2], losses[-1]
         if prev <= 0 or (prev - cur) / prev < tol * steps:
             converged = True

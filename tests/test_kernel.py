@@ -493,8 +493,6 @@ INT_TAKERS = {
     "uniform.cols": (0, lambda v: K.uniform(K.make_rng(0), 2, v)),
     "init_dense.sizes[0]": (1, lambda v: K.init_dense([v, 3], ["relu"], K.make_rng(0))),
     "init_dense.sizes[1]": (1, lambda v: K.init_dense([3, v], ["relu"], K.make_rng(0))),
-    "init_factors.h": (1, lambda v: mf.init_factors(np.ones((3, 3)), np.ones((3, 3)), v, 0)),
-    "init_factors.seed": (0, lambda v: mf.init_factors(np.ones((3, 3)), np.ones((3, 3)), 2, v)),
     "pretrain.h": (1, lambda v: mf.pretrain(_XM4, v, max_iters=2)),
     "pretrain.max_iters": (0, lambda v: mf.pretrain(_XM4, 2, max_iters=v)),
     "pretrain.seed": (0, lambda v: mf.pretrain(_XM4, 2, max_iters=2, seed=v)),
@@ -545,8 +543,7 @@ class TestAsMatrix:
         lambda d: masking.apply_mask(d, np.ones((2, 2))),
         lambda d: masking.MaskedMatrix(d, np.ones((2, 2))),
         lambda d: metrics.normalize(d, np.ones((2, 2))),
-        lambda d: mf.kl_loss(np.ones((2, 2)), d, np.ones((2, 2))),
-    ], ids=["apply_mask", "MaskedMatrix", "normalize", "kl_loss"])
+    ], ids=["apply_mask", "MaskedMatrix", "normalize"])
     def test_entry_points_inherit_it(self, entry):
         with pytest.raises(ValidationError):
             entry(np.full((2, 2), 1 + 1j))

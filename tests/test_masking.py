@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockecho import gan, metrics, mf
+from blockecho import gan, metrics
 from blockecho import masking as M
 from blockecho.data import SyntheticSpec, gen_synthetic
 from blockecho.errors import ShapeError, SpecError, ValidationError
@@ -313,22 +313,15 @@ def _bits(obj):
 
 _X = gen_synthetic(SyntheticSpec("periodic_traffic", 12, 8, seed=3)).values
 _MASK = mask_of("scattered", 12, 8, 0.3, 2)
-_XN = metrics.normalize(_X, _MASK)[0]
-_FACTORS = mf.init_factors(_XN, _MASK, 3, 0)
 
 
-# every function that takes a mask, called on a mask shaped like _MASK;
-# mix_rows reads the mask's first column as its row indicator y
+# every function that takes a mask, called on a mask shaped like _MASK
 MASK_TAKERS = {
     "normalize": lambda mask: metrics.normalize(_X, mask),
     "rmse_missing": lambda mask: metrics.rmse_missing(_X[::-1], _X, mask),
-    "kl_loss": lambda mask: mf.kl_loss(_XN, _FACTORS.U @ _FACTORS.V, mask),
-    "init_factors": lambda mask: mf.init_factors(_XN, mask, 3, 5),
-    "mu_step": lambda mask: mf.mu_step(_XN, mask, _FACTORS),
     "build_hint": lambda mask: gan.build_hint(mask, make_rng(4)),
     "apply_mask": lambda mask: M.apply_mask(_X, mask),
     "MaskedMatrix": lambda mask: M.MaskedMatrix(np.where(_MASK, _X, M.SENTINEL), mask),
-    "mix_rows": lambda mask: gan.mix_rows(_FACTORS.U, _FACTORS.U[::-1], mask[..., :1]),
 }
 
 

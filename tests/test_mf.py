@@ -1,11 +1,11 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from blockecho import mf
 from blockecho.errors import EvaluationError, ShapeError, SpecError, ValidationError
+from blockecho.kernel import make_rng
 from blockecho.masking import MaskedMatrix, MaskSpec, apply_mask, generate_mask
 from blockecho.metrics import normalize, rmse_missing
 
@@ -20,39 +20,61 @@ def random_instance(m, n, seed, missing=0.0):
     return x, mask
 
 
+def init_factors(x, mask, h, seed):
+    """pretrain's initial factors, written out: uniform [0.1, 1.1] draws
+    rescaled so that mean(U @ V) is the mean of the observed values, then
+    floored at EPS_FLOOR."""
+    rng = make_rng(seed)
+    m, n = np.shape(x)
+    U = rng.uniform(0.1, 1.1, size=(m, h))
+    V = rng.uniform(0.1, 1.1, size=(h, n))
+    target = float(np.mean(np.asarray(x)[np.asarray(mask, dtype=bool)]))
+    if target > 0:
+        scale = np.sqrt(target / float(np.mean(U @ V)))
+        U *= scale
+        V *= scale
+    return mf.FactorPair(np.maximum(U, mf.EPS_FLOOR), np.maximum(V, mf.EPS_FLOOR))
+
+
+def kl(x, xhat, mask):
+    """kl_loss of the observed cells of x against the same cells of xhat."""
+    obs = np.asarray(mask, dtype=bool)
+    return mf.kl_loss(np.asarray(x, dtype=float)[obs], np.asarray(xhat, dtype=float)[obs])
+
+
+def step(x, mask, factors):
+    """mu_step on arrays made afresh as pretrain makes them: x through
+    apply_mask, the float64 mask and xhat = U @ V."""
+    xm = apply_mask(x, mask)
+    U, V = mf.mu_step(xm.values, xm.mask.astype(np.float64), factors.U, factors.V,
+                      factors.U @ factors.V)
+    return mf.FactorPair(U, V)
+
+
 class TestKlLoss:
     def test_zero_when_equal(self):
         x, mask = random_instance(4, 5, 0)
-        assert mf.kl_loss(x, x.copy(), mask) == 0.0
+        assert kl(x, x.copy(), mask) == 0.0
 
     def test_hand_value(self):
-        val = mf.kl_loss([[2.0]], [[1.0]], [[1.0]])
+        val = mf.kl_loss(np.array([2.0]), np.array([1.0]))
         assert abs(val - (2.0 * np.log(2.0) - 1.0)) < 1e-12
 
     def test_zero_observed_limit(self):
-        assert mf.kl_loss([[0.0]], [[0.5]], [[1.0]]) == 0.5
-
-    def test_negative_observed_directs_to_normalize(self):
-        with pytest.raises(ValidationError, match="normalize"):
-            mf.kl_loss([[-1.0]], [[1.0]], [[1.0]])
+        assert mf.kl_loss(np.array([0.0]), np.array([0.5])) == 0.5
 
     def test_masked_cells_ignored(self):
         x = np.array([[1.0, 50.0]])
         xhat = np.array([[1.0, 1.0]])
         mask = np.array([[1.0, 0.0]])
-        assert mf.kl_loss(x, xhat, mask) == 0.0
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_observed_value_rejected(self, bad):
-        with pytest.raises(ValidationError, match="finite"):
-            mf.kl_loss([[bad, 0.5]], [[1.0, 1.0]], np.ones((1, 2)))
+        assert kl(x, xhat, mask) == 0.0
 
     def test_non_finite_value_in_masked_cell_ignored(self):
-        assert mf.kl_loss([[1.0, np.nan]], [[1.0, 1.0]], [[1.0, 0.0]]) == 0.0
+        assert kl([[1.0, np.nan]], [[1.0, 1.0]], [[1.0, 0.0]]) == 0.0
 
     def test_zero_observed_with_subnormal_estimate(self):
         # once overflowed in 1 / xhat on the way to the limit term
-        assert mf.kl_loss([[0.0]], [[1e-310]], [[1.0]]) == 1e-310
+        assert mf.kl_loss(np.array([0.0]), np.array([1e-310])) == 1e-310
 
     @pytest.mark.parametrize("x, xhat", [
         (1.0, 1e-310),   # x / xhat overflows
@@ -62,37 +84,36 @@ class TestKlLoss:
     ])
     def test_ratio_outside_float64_range_gives_finite_loss(self, x, xhat):
         # filterwarnings = error turns a stray RuntimeWarning into a failure
-        val = mf.kl_loss([[x]], [[xhat]], [[1.0]])
+        val = mf.kl_loss(np.array([x]), np.array([xhat]))
         ref = x * (math.log(x) - math.log(xhat)) - x + xhat
         assert math.isfinite(val)
         assert val == pytest.approx(ref, rel=1e-12)
 
     def test_ratio_fallback_leaves_other_cells_bit_exact(self):
-        x = np.array([[0.3, 1.0, 0.0, 0.7]])
-        xhat = np.array([[0.5, 1e-310, 0.2, 0.9]])
-        ones = np.ones((1, 4))
-        split = mf.kl_loss(x[:, 1:2], xhat[:, 1:2], ones[:, :1])
-        rest = np.array([[0.3, 0.0, 0.7]]), np.array([[0.5, 0.2, 0.9]])
+        x = np.array([0.3, 1.0, 0.0, 0.7])
+        xhat = np.array([0.5, 1e-310, 0.2, 0.9])
+        split = mf.kl_loss(x[1:2], xhat[1:2].copy())
+        rest = np.array([0.3, 0.0, 0.7]), np.array([0.5, 0.2, 0.9])
         terms = rest[0] * np.log(np.where(rest[0] > 0, rest[0], rest[1]) / rest[1])
         terms += rest[1] - rest[0]
-        expected = np.array([[terms[0, 0], split, terms[0, 1], terms[0, 2]]]).sum()
-        assert mf.kl_loss(x, xhat, ones) == expected
+        expected = np.array([terms[0], split, terms[1], terms[2]]).sum()
+        assert mf.kl_loss(x, xhat) == expected
 
     @pytest.mark.parametrize("x, xhat", [
-        ([[1e308]], [[1e-308]]),                 # the ratio's fallback term overflows
-        ([[1e308, 1e308]], [[1.0, 1.0]]),        # x * log(x / xhat) overflows
+        ([1e308], [1e-308]),                 # the ratio's fallback term overflows
+        ([1e308, 1e308], [1.0, 1.0]),        # x * log(x / xhat) overflows
     ])
     def test_overflowing_loss_is_evaluation_error(self, x, xhat):
         # once warned of overflow in multiply and returned inf
         with pytest.raises(EvaluationError, match="overflows"):
-            mf.kl_loss(x, xhat, np.ones_like(x))
+            mf.kl_loss(np.array(x), np.array(xhat))
 
     @pytest.mark.parametrize("x", [0.0, 0.5])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_estimate_rejected(self, x, bad):
         # inf once warned of a divide by zero in log, nan returned nan
         with pytest.raises(ValidationError, match="finite and strictly positive"):
-            mf.kl_loss([[x, 0.5]], [[bad, 1.0]], np.ones((1, 2)))
+            mf.kl_loss(np.array([x, 0.5]), np.array([bad, 1.0]))
 
 
 class TestMuStep:
@@ -101,23 +122,23 @@ class TestMuStep:
         U = np.array([[1.0], [2.0]])
         V = np.array([[3.0, 4.0]])
         x = U @ V
-        out = mf.mu_step(x, np.ones((2, 2)), mf.FactorPair(U, V))
+        out = step(x, np.ones((2, 2)), mf.FactorPair(U, V))
         assert np.allclose(out.U, U) and np.allclose(out.V, V)
 
     def test_hand_multiplier_all_ones(self):
         # x all ones, full mask, h=1, U=V=1: xhat=1 so numer=denom -> unchanged
         f = mf.FactorPair(np.ones((2, 1)), np.ones((1, 2)))
-        out = mf.mu_step(np.ones((2, 2)), np.ones((2, 2)), f)
+        out = step(np.ones((2, 2)), np.ones((2, 2)), f)
         assert np.allclose(out.U, 1.0) and np.allclose(out.V, 1.0)
 
     def test_monotone_on_random_instances(self):
         for seed in range(30):
             x, mask = random_instance(20, 15, seed, missing=0.6)
-            factors = mf.init_factors(x, mask, 3, seed)
-            prev = mf.kl_loss(x, factors.U @ factors.V, mask)
+            factors = init_factors(x, mask, 3, seed)
+            prev = kl(x, factors.U @ factors.V, mask)
             for _ in range(5):
-                factors = mf.mu_step(x, mask, factors)
-                cur = mf.kl_loss(x, factors.U @ factors.V, mask)
+                factors = step(x, mask, factors)
+                cur = kl(x, factors.U @ factors.V, mask)
                 assert cur <= prev + 1e-9
                 prev = cur
 
@@ -125,97 +146,33 @@ class TestMuStep:
         x, _ = random_instance(5, 4, 2)
         mask = np.ones((5, 4))
         mask[1, :] = 0.0
-        factors = mf.init_factors(x, mask, 2, 0)
+        factors = init_factors(x, mask, 2, 0)
         u_before = factors.U[1].copy()
-        with pytest.warns(RuntimeWarning, match="rows"):
-            out = mf.mu_step(x, mask, factors)
+        out = step(x, mask, factors)
         assert np.array_equal(out.U[1], u_before)
 
     def test_positivity_floor(self):
         for seed in range(5):
             x, mask = random_instance(10, 8, seed, missing=0.4)
-            factors = mf.init_factors(x, mask, 2, seed)
+            factors = init_factors(x, mask, 2, seed)
             for _ in range(20):
-                factors = mf.mu_step(x, mask, factors)
+                factors = step(x, mask, factors)
             assert factors.U.min() >= mf.EPS_FLOOR and factors.V.min() >= mf.EPS_FLOOR
 
     def test_mask_locality(self):
         # changing a hidden cell changes neither the loss nor the update
         x, mask = random_instance(8, 6, 3, missing=0.5)
-        factors = mf.init_factors(x, mask, 2, 1)
+        factors = init_factors(x, mask, 2, 1)
         x2 = x.copy()
         hidden = np.argwhere(mask == 0)[0]
         x2[hidden[0], hidden[1]] = 99.0
-        assert mf.kl_loss(x, factors.U @ factors.V, mask) == mf.kl_loss(
-            x2, factors.U @ factors.V, mask
-        )
-        a = mf.mu_step(x, mask, factors)
-        b = mf.mu_step(x2, mask, factors)
+        assert kl(x, factors.U @ factors.V, mask) == kl(x2, factors.U @ factors.V, mask)
+        a = step(x, mask, factors)
+        b = step(x2, mask, factors)
         assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
-
-
-class TestMuStepValidation:
-    # each of these was once accepted: negative data came back as factors
-    # floored to EPS_FLOOR, and NaN data warned of dead columns
-    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
-    def test_observed_value_rejected(self, bad):
-        f = mf.FactorPair(np.ones((2, 2)), np.ones((2, 2)))
-        x = np.ones((2, 2))
-        x[0, 1] = bad
-        with pytest.raises(ValidationError, match="finite"):
-            mf.mu_step(x, np.ones((2, 2)), f)
-
-    def test_negative_data_rejected(self):
-        f = mf.FactorPair(np.ones((2, 2)), np.ones((2, 2)))
-        with pytest.raises(ValidationError):
-            mf.mu_step(-np.ones((2, 2)), np.ones((2, 2)), f)
-
-    @pytest.mark.parametrize("entry", [0.5, 2.0, -1.0, np.nan])
-    def test_non_binary_mask_rejected(self, entry):
-        f = mf.FactorPair(np.ones((2, 2)), np.ones((2, 2)))
-        mask = np.ones((2, 2))
-        mask[1, 0] = entry
-        with pytest.raises(ValidationError, match="exactly 0 or 1"):
-            mf.mu_step(np.ones((2, 2)), mask, f)
-
-    def test_invalid_value_in_masked_cell_ignored(self):
-        x, _ = random_instance(6, 4, 1)
-        mask = np.ones((6, 4))
-        mask[2, 3] = 0.0
-        factors = mf.init_factors(x, mask, 2, 0)
-        a = mf.mu_step(x, mask, factors)
-        x[2, 3] = np.nan
-        b = mf.mu_step(x, mask, factors)
-        assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
-
-    def test_dead_columns_counted_from_the_mask(self):
-        x, _ = random_instance(5, 4, 2)
-        mask = np.ones((5, 4))
-        mask[:, [0, 2]] = 0.0
-        factors = mf.init_factors(x, mask, 2, 0)
-        with pytest.warns(RuntimeWarning, match="^2 columns"):
-            out = mf.mu_step(x, mask, factors)
-        assert np.array_equal(out.V[:, [0, 2]], factors.V[:, [0, 2]])
 
 
 class TestShapeMismatch:
-    # each of these once surfaced as numpy's ValueError or an IndexError,
-    # or as a SpecError where every other module raises ShapeError
-    @pytest.mark.parametrize("U_rows, mask_shape", [(5, (6, 4)), (6, (6, 3)), (6, (1, 4))],
-                             ids=["factor-rows", "mask-columns", "mask-rows"])
-    def test_mu_step(self, U_rows, mask_shape):
-        f = mf.FactorPair(np.ones((U_rows, 2)), np.ones((2, 4)))
-        with pytest.raises(ShapeError):
-            mf.mu_step(np.ones((6, 4)), np.ones(mask_shape), f)
-
-    def test_init_factors(self):
-        with pytest.raises(ShapeError):
-            mf.init_factors(np.ones((6, 4)), np.ones((6, 3)), 2, 0)
-
-    def test_kl_loss(self):
-        with pytest.raises(ShapeError):
-            mf.kl_loss(np.ones((3, 3)), np.ones((3, 2)), np.ones((3, 3)))
-
     def test_factor_inner_dims(self):
         with pytest.raises(ShapeError, match="inner dims"):
             mf.FactorPair(np.ones((3, 2)), np.ones((3, 4)))
@@ -287,6 +244,28 @@ class TestPretrain:
         with pytest.raises(ValidationError, match="finite"):
             mf.pretrain(xm, h=2, max_iters=5)
 
+    def test_negative_observed_directs_to_normalize(self):
+        # negative data once came back as factors floored to EPS_FLOOR
+        x, mask = random_instance(6, 5, 8)
+        x[2, 3] = -1.0
+        with pytest.raises(ValidationError, match="nonnegative; run metrics.normalize first"):
+            mf.pretrain(apply_mask(x, mask), h=2, max_iters=5)
+
+    def test_runs_mu_step_once_per_update_and_kl_loss_once_per_check(self, monkeypatch):
+        counts = {"mu_step": 0, "kl_loss": 0}
+        for name in counts:
+            original = getattr(mf, name)
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(mf, name, counted)
+        xm, h, _, _ = bit_exact_case("scattered")
+        _, trace = mf.pretrain(xm, h, max_iters=23, tol=0.0, seed=5)
+        assert counts["mu_step"] == trace.iterations == 23
+        assert counts["kl_loss"] == len(trace.losses) == 4
+
     def test_recovery_oracle_scattered(self):
         # rank <= 3 positive matrices, 60% scattered missing: RMSE on the
         # hidden cells, measured on the normalized scale, < 0.05 for at
@@ -310,27 +289,24 @@ class TestPretrain:
 
 
 def reference_pretrain(xm, h, max_iters, tol, seed):
-    """pretrain written as a loop over the public init_factors, mu_step and
-    kl_loss, which compute every product and mask afresh on each call. The
-    loss is evaluated on pretrain's cadence: after every CHECK_EVERY-th
-    update and after the last one. Returns (factors, losses, converged,
-    updates run)."""
+    """pretrain written as a loop over init_factors, step and kl above, which
+    compute every product and mask afresh on each call. The loss is
+    evaluated on pretrain's cadence: after every CHECK_EVERY-th update and
+    after the last one. Returns (factors, losses, converged, updates run)."""
     x, mask = xm.values, xm.mask
-    factors = mf.init_factors(x, mask, h, seed)
-    losses = [mf.kl_loss(x, factors.U @ factors.V, mask)]
+    factors = init_factors(x, mask, h, seed)
+    losses = [kl(x, factors.U @ factors.V, mask)]
     converged = False
     last_check = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for it in range(1, max_iters + 1):
-            factors = mf.mu_step(x, mask, factors)
-            if it % mf.CHECK_EVERY and it < max_iters:
-                continue
-            losses.append(mf.kl_loss(x, factors.U @ factors.V, mask))
-            steps, last_check = it - last_check, it
-            if losses[-2] <= 0 or (losses[-2] - losses[-1]) / losses[-2] < tol * steps:
-                converged = True
-                break
+    for it in range(1, max_iters + 1):
+        factors = step(x, mask, factors)
+        if it % mf.CHECK_EVERY and it < max_iters:
+            continue
+        losses.append(kl(x, factors.U @ factors.V, mask))
+        steps, last_check = it - last_check, it
+        if losses[-2] <= 0 or (losses[-2] - losses[-1]) / losses[-2] < tol * steps:
+            converged = True
+            break
     dead_rows = mask.sum(axis=1) == 0
     dead_cols = mask.sum(axis=0) == 0
     if dead_rows.any():
@@ -363,10 +339,10 @@ BIT_EXACT_CASES = ["scattered", "block", "dead_row", "dead_col", "observed_zeros
 
 
 def plain_steps(xm, h, updates, seed):
-    """init_factors followed by `updates` plain mu_step calls."""
-    factors = mf.init_factors(xm.values, xm.mask, h, seed)
+    """init_factors followed by `updates` plain step calls."""
+    factors = init_factors(xm.values, xm.mask, h, seed)
     for _ in range(updates):
-        factors = mf.mu_step(xm.values, xm.mask, factors)
+        factors = step(xm.values, xm.mask, factors)
     return factors
 
 
@@ -398,7 +374,7 @@ class TestPretrainBitExact:
         xm, h, max_iters, tol = bit_exact_case(name)
         factors, trace = mf.pretrain(xm, h, max_iters=max_iters, tol=tol, seed=5)
         assert len(trace.losses) == 1 + math.ceil(trace.iterations / mf.CHECK_EVERY)
-        assert trace.losses[-1] == mf.kl_loss(xm.values, factors.U @ factors.V, xm.mask)
+        assert trace.losses[-1] == kl(xm.values, factors.U @ factors.V, xm.mask)
 
     def test_partial_final_window_is_checked(self):
         xm, h, _, _ = bit_exact_case("scattered")
@@ -407,7 +383,7 @@ class TestPretrainBitExact:
         assert len(trace.losses) == 4
         plain = plain_steps(xm, h, 23, seed=5)
         assert np.array_equal(factors.U, plain.U) and np.array_equal(factors.V, plain.V)
-        assert trace.losses[-1] == mf.kl_loss(xm.values, plain.U @ plain.V, xm.mask)
+        assert trace.losses[-1] == kl(xm.values, plain.U @ plain.V, xm.mask)
         # the full windows before it are the checks of a 20-update run
         _, trace20 = mf.pretrain(xm, h, max_iters=20, tol=0.0, seed=5)
         assert trace.losses[:3] == trace20.losses
@@ -439,16 +415,16 @@ class TestImputeAndIO:
         assert np.array_equal(mf.mf_impute(f), [[3.0, 4.0], [6.0, 8.0]])
 
     @pytest.mark.parametrize("h", [2.5, "2"])
-    def test_non_integer_rank_rejected_by_init_factors(self, h):
+    def test_non_integer_rank_rejected_by_pretrain(self, h):
         # these once surfaced as a stray TypeError
         with pytest.raises(SpecError, match="h must be an integer"):
-            mf.init_factors(np.ones((3, 3)), np.ones((3, 3)), h, 0)
+            mf.pretrain(apply_mask(np.ones((3, 3)), np.ones((3, 3))), h)
 
     def test_zero_rank_rejected(self):
         with pytest.raises(SpecError):
             mf.FactorPair(np.ones((3, 0)), np.ones((0, 2)))
         with pytest.raises(SpecError):
-            mf.init_factors(np.ones((3, 3)), np.ones((3, 3)), 0, 0)
+            mf.pretrain(apply_mask(np.ones((3, 3)), np.ones((3, 3))), 0)
 
     @pytest.mark.parametrize("u_shape, v_shape", [((0, 2), (2, 3)), ((3, 2), (2, 0)),
                                                   ((0, 1), (1, 0))])
@@ -508,7 +484,7 @@ def textbook_case(m, n, h, pattern, seed=3):
     if pattern == "dead":
         mask[1, :] = False
         mask[:, 1] = False
-    return x, mask, mf.init_factors(x, mask, h, seed)
+    return x, mask, init_factors(x, mask, h, seed)
 
 
 class TestTextbookFormula:
@@ -524,9 +500,7 @@ class TestTextbookFormula:
     ])
     def test_one_mu_step(self, m, n, h, pattern):
         x, mask, factors = textbook_case(m, n, h, pattern)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = mf.mu_step(x, mask, factors)
+        out = step(x, mask, factors)
         U2, V2 = textbook_step(x, mask, factors.U, factors.V)
         np.testing.assert_allclose(out.U, U2, rtol=1e-12, atol=0)
         np.testing.assert_allclose(out.V, V2, rtol=1e-12, atol=0)
@@ -538,9 +512,8 @@ class TestTextbookFormula:
     def test_two_by_two_dead_row_and_column(self):
         x = np.array([[0.3, 0.9], [0.5, 0.7]])
         mask = np.array([[True, False], [False, False]])
-        factors = mf.init_factors(x, mask, 1, 0)
-        with pytest.warns(RuntimeWarning):
-            out = mf.mu_step(x, mask, factors)
+        factors = init_factors(x, mask, 1, 0)
+        out = step(x, mask, factors)
         U2, V2 = textbook_step(x, mask, factors.U, factors.V)
         np.testing.assert_allclose(out.U, U2, rtol=1e-12, atol=0)
         np.testing.assert_allclose(out.V, V2, rtol=1e-12, atol=0)
@@ -567,7 +540,7 @@ class TestLayoutContract:
         fmask = mask.astype(np.float64)
         U, V = factors.U, factors.V
         before = [a.tobytes() for a in (x, fmask, U, V)]
-        U2, V2 = mf._mu_update(x, fmask, U, V, U @ V)
+        U2, V2 = mf.mu_step(x, fmask, U, V, U @ V)
         assert U2.flags.c_contiguous and V2.flags.c_contiguous
         assert U2.shape == U.shape and V2.shape == V.shape
         assert [a.tobytes() for a in (x, fmask, U, V)] == before
@@ -575,7 +548,5 @@ class TestLayoutContract:
     @pytest.mark.parametrize("pattern", ["scattered", "dead"])
     def test_pretrain_returns_c_contiguous_factors(self, pattern):
         x, mask, _ = textbook_case(48, 16, 4, pattern)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            factors, _ = mf.pretrain(apply_mask(x, mask), 4, max_iters=20, seed=0)
+        factors, _ = mf.pretrain(apply_mask(x, mask), 4, max_iters=20, seed=0)
         assert factors.U.flags.c_contiguous and factors.V.flags.c_contiguous
