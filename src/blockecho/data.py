@@ -181,10 +181,6 @@ def eval_downstream(original, variants) -> dict:
         matrix = as_matrix(matrix)
         if matrix.shape != original.shape:
             raise ShapeError(f"variant '{name}' is {matrix.shape}, expected {original.shape}")
-        preds = []
-        actuals = []
-        for step in range(t - holdout, t):
-            preds.append(forecast_next(matrix[:step]))
-            actuals.append(original[step : step + 1])
-        report["wmape"][name] = wmape(np.vstack(preds), np.vstack(actuals))
+        preds = [forecast_next(matrix[:step]) for step in range(t - holdout, t)]
+        report["wmape"][name] = wmape(np.vstack(preds), original[t - holdout :])
     return report

@@ -15,11 +15,12 @@ and the rank h alone, with one relu hidden layer and a sigmoid output:
   1 - HINT_RATE of entries blanked to 1/2, scores each cell as observed
   or imputed. Both always take part unless alpha = 1.
 
-The estimate is U @ V clipped entrywise to [EPS_NORM, 1], the range of
-normalized data, by a fixed completion head (see init_head): the low-rank
-structure passes through unchanged and a factorization that blows up is
-capped at 1. The head has no trainable weights. _estimate is the one
-forward of G and the head, which each training phase and the final pass call.
+The estimate is exactly U @ V clipped entrywise to [EPS_NORM, 1], the range
+of normalized data: a fixed completion head (see init_head) applied to U @ V
+capped at 2. The low-rank structure passes through unchanged and a
+factorization that blows up is capped at 1. The head has no trainable
+weights. _estimate is the one forward of G and the head, which each training
+phase and the final pass call.
 
 Training alternates discriminator ascent on their log-likelihood
 objectives (_d_step) with generator descent on
@@ -32,7 +33,7 @@ cells once, on entry. _g_objective writes this objective and its exact
 reverse-mode gradient once: each discriminator term's forward,
 loss and backward side by side, then the KL term, then the backward passes
 of the head and G; the test suite checks it against central finite
-differences. All three optimizers are Adam at the one learning rate LR.
+differences. All three optimizers are Adam at kernel.LR.
 The final imputation runs from the weights the last Adam step wrote,
 batch_rows rows at a time: of its arrays only the noise draw and the
 imputed matrix have a row per data row. ImputationResult holds the
@@ -69,7 +70,6 @@ NOISE_HIGH = 0.01  # generator noise is uniform in [0, NOISE_HIGH]
 
 ACTS = ("relu", "sigmoid")  # every trained net: one relu hidden layer, a sigmoid output
 HINT_RATE = 0.9    # share of D2's hint cells that show the true mask entry
-LR = 1e-3          # Adam learning rate of G (with V), D1 and D2
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,12 @@ def _assemble(values, mask, xhat):
 
 def _estimate(model, x, mask, z):
     """(u, xhat, G's cache, the head's cache) of one batch, unchecked: G maps
-    each row (x | mask | z) to its embedding u, and the estimate xhat is the
-    completion head, clip to [EPS_NORM, 1], applied entrywise to u @ V."""
+    each row (x | mask | z) to its embedding u, and the estimate xhat is
+    exactly clip(u @ V, EPS_NORM, 1): the completion head applied entrywise to
+    u @ V capped at 2, inside the range where the head is that clip bit for bit."""
     u, g_cache = net_forward(model.generator, np.hstack([x, mask, z]))
-    p = u @ model.V
+    # the head's input gradient is 0 above 1, so the cap leaves every gradient as is
+    p = np.minimum(u @ model.V, 2.0)
     xhat, mcl_cache = net_forward(model.mcl, p.reshape(-1, 1))
     return u, xhat.reshape(p.shape), g_cache, mcl_cache
 
@@ -260,11 +262,12 @@ def init_head() -> DenseNet:
     - relu(p - 1), which is clip(p, EPS_NORM, 1).
 
     It equals np.clip bit for bit for every p <= 4; above that the two
-    hinges cancel only to within rounding, a few ulp(p). Rounding is
-    monotone, so the first hinge is never below the second and the output
-    pre-activation is at least EPS_NORM: the output relu passes it
-    unchanged, with derivative 1. Its input gradient passes through: 1
-    strictly inside the range, 0 outside it. No optimizer holds its weights.
+    hinges cancel only to within rounding, a few ulp(p), so _estimate caps
+    its input at 2. Rounding is monotone, so the first hinge is never below
+    the second and the output pre-activation is at least EPS_NORM: the
+    output relu passes it unchanged, with derivative 1. Its input gradient
+    passes through: 1 strictly inside the range, 0 outside it. No optimizer
+    holds its weights.
     """
     return DenseNet([np.ones((1, 2)), np.array([[1.0], [-1.0]])],
                     [np.array([[-EPS_NORM, -1.0]]), np.array([[EPS_NORM]])],
@@ -324,7 +327,7 @@ def train(xm: MaskedMatrix, pre: FactorPair, cfg: BlockEchoConfig):
 
     init_rng, batch_rng, noise_rng, hint_rng, y_rng = spawn_rngs(cfg.seed, 5)
     model = build_model(cfg, pre, init_rng)
-    opt_g, opt_d1, opt_d2 = (AdamState(lr=LR) for _ in range(3))
+    opt_g, opt_d1, opt_d2 = AdamState(), AdamState(), AdamState()
     trace = {"d1": [], "d2": [], "mf_term": [], "g_total": []}
     g_params = _g_params(model)  # the arrays themselves, which Adam updates in place
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ShapeError, SpecError, TrainingError, ValidationError
 
-ACTIVATIONS = ("relu", "sigmoid")
-BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+# Adam's learning rate, moment decays and denominator floor, for every optimizer
+LR, BETA1, BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8
 
 
 def as_matrix(data) -> np.ndarray:
@@ -59,27 +59,15 @@ def _sigmoid(z):
     return out
 
 
-def _apply_activation(name, z):
-    """act(z); relu overwrites z, which must be the caller's own array."""
-    if name == "relu":
-        return np.maximum(z, 0.0, out=z)
-    if name == "sigmoid":
-        return _sigmoid(z)
-    raise ValidationError(f"unknown activation '{name}'")
-
-
-def _activation_grad(name, a):
-    """d activation / d z from the output a alone.
-
-    relu's is the boolean mask a > 0, which a product with a float array
-    reads as 0.0/1.0; it equals z > 0 for every z, -0.0 and NaN included,
-    since relu maps those to -0.0 and NaN.
-    """
-    if name == "relu":
-        return a > 0.0
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    raise ValidationError(f"unknown activation '{name}'")
+# name -> (activation, its derivative d act / d z read from the output a
+# alone). relu overwrites z, always the pass's own pre-activation; its
+# derivative is the bool mask a > 0, which a product with a float array reads
+# as 0.0/1.0, and equals z > 0 for every z, -0.0 and NaN included, since relu
+# maps those to -0.0 and NaN.
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0.0),
+    "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
+}
 
 
 @dataclass
@@ -97,8 +85,11 @@ class DenseNet:
     def __post_init__(self):
         if not (len(self.weights) == len(self.biases) == len(self.activations)):
             raise ShapeError("weights, biases and activations must align per layer")
+        if not self.weights:
+            raise ShapeError("a network needs at least one layer")
         for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
-            if act not in ACTIVATIONS:
+            # an unhashable name would make the table lookup raise TypeError
+            if not isinstance(act, str) or act not in ACTIVATIONS:
                 raise ValidationError(f"layer {i}: unknown activation '{act}'")
             if w.ndim != 2 or b.shape != (1, w.shape[1]):
                 raise ShapeError(f"layer {i}: weight {w.shape} and bias {b.shape} mismatch")
@@ -118,11 +109,8 @@ class DenseNet:
 
 
 def init_dense(sizes, activations, rng) -> DenseNet:
-    """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases."""
-    if len(sizes) < 2:
-        raise ShapeError("need at least an input and an output size")
-    if len(activations) != len(sizes) - 1:
-        raise ShapeError("one activation per layer required")
+    """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases; DenseNet
+    checks that there is one activation per layer and at least one layer."""
     require_int(1, **{f"sizes[{i}]": size for i, size in enumerate(sizes)})
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -160,7 +148,7 @@ def net_forward(net: DenseNet, x):
         # gives the same bits without a K=1 matrix product
         z = w.T * a if w.shape[0] == 1 else w.T @ a
         z += b.T
-        a = _apply_activation(act, z)
+        a = ACTIVATIONS[act][0](z)
         outputs.append(a)
     return np.ascontiguousarray(a.T), ForwardCache(id(net), outputs)
 
@@ -183,7 +171,7 @@ def net_backward(net: DenseNet, cache: ForwardCache, out_grad, *, params=True, i
     d = out_grad.T
     for i in range(last, -1, -1):
         w = net.weights[i]
-        act_grad = _activation_grad(net.activations[i], cache.outputs[i + 1])
+        act_grad = ACTIVATIONS[net.activations[i]][1](cache.outputs[i + 1])
         # below the last layer d is this pass's own array, so it is scaled
         # in place; the caller's out_grad is never written
         d = d * act_grad if i == last else np.multiply(d, act_grad, out=d)
@@ -196,14 +184,11 @@ def net_backward(net: DenseNet, cache: ForwardCache, out_grad, *, params=True, i
 
 def net_params(net: DenseNet, prefix: str) -> dict:
     """Named views of the network parameters (arrays are shared, not copied)."""
-    out = {}
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        out[f"{prefix}.w{i}"] = w
-        out[f"{prefix}.b{i}"] = b
-    return out
+    return net_grads_dict(zip(net.weights, net.biases), prefix)
 
 
 def net_grads_dict(grads, prefix: str) -> dict:
+    """{prefix}.w{i} and {prefix}.b{i} for each layer's (w, b) pair in grads."""
     out = {}
     for i, (dw, db) in enumerate(grads):
         out[f"{prefix}.w{i}"] = dw
@@ -218,11 +203,11 @@ class AdamState:
     The first step fixes the group: the moments m and v are one flat buffer
     each, holding that step's blocks end to end in the order it lists them
     (layout holds (name, shape, start, stop) per block), and every later
-    step must bring the same block names and shapes. The moment decays and
-    the denominator floor are the module constants BETA1, BETA2 and ADAM_EPS.
+    step must bring the same block names and shapes. The learning rate, the
+    moment decays and the denominator floor are the module constants LR,
+    BETA1, BETA2 and ADAM_EPS.
     """
 
-    lr: float = 1e-3
     step: int = 0
     layout: tuple = ()
     m: np.ndarray | None = None
@@ -273,12 +258,12 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
     scratch = (1.0 - BETA2) * g
     scratch *= g
     v += scratch
-    # step = lr * (m / c1) / (sqrt(v / c2) + eps), built in g
+    # step = LR * (m / c1) / (sqrt(v / c2) + eps), built in g
     np.divide(v, c2, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += ADAM_EPS
     np.divide(m, c1, out=g)
-    g *= state.lr
+    g *= LR
     g /= scratch
     for name, shape, start, stop in layout:
         params[name] -= g[start:stop].reshape(shape)

@@ -4,7 +4,7 @@ import pytest
 from blockecho import kernel as K
 
 
-def train_histogram_discriminator(p_real, p_fake, bins, iters=3000, lr=5e-3, seed=0):
+def train_histogram_discriminator(p_real, p_fake, bins, iters=3000, seed=0):
     """Fit a tiny sigmoid net to tell two known histograms apart.
 
     Trains on the exact expected log-likelihood sum_b p_real*log D(v_b) +
@@ -16,7 +16,7 @@ def train_histogram_discriminator(p_real, p_fake, bins, iters=3000, lr=5e-3, see
     knots = rng.uniform(0.0, 1.0, size=(1, 32))
     net.biases[0][:] = -net.weights[0] * knots
     params = K.net_params(net, "d")
-    opt = K.AdamState(lr=lr)
+    opt = K.AdamState()
     x = np.asarray(bins, dtype=float).reshape(-1, 1)
     wr = np.asarray(p_real, dtype=float).reshape(-1, 1)
     wf = np.asarray(p_fake, dtype=float).reshape(-1, 1)

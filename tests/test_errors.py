@@ -1,5 +1,6 @@
 """Input checks that no other test reaches: each call below is refused with
-its BlockEchoError subclass and message, before any work is done."""
+its BlockEchoError subclass and message, before any work is done (init_dense
+draws its weights before DenseNet, the one network check, refuses them)."""
 
 import numpy as np
 import pytest
@@ -74,11 +75,11 @@ REFUSED = {
         ShapeError, "layer 0 output 2 != layer 1 input 3",
         lambda: kernel.DenseNet([np.ones((3, 2)), np.ones((3, 1))],
                                 [np.ones((1, 2)), np.ones((1, 1))], ["relu", "sigmoid"])),
-    "init_dense-one-size": (ShapeError, "need at least an input and an output size",
+    "init_dense-one-size": (ShapeError, "a network needs at least one layer",
                             lambda: kernel.init_dense([3], [], kernel.make_rng(0))),
-    "init_dense-activations": (ShapeError, "one activation per layer required",
-                               lambda: kernel.init_dense([3, 2, 1], ["relu"],
-                                                         kernel.make_rng(0))),
+    "init_dense-activations": (
+        ShapeError, "weights, biases and activations must align per layer",
+        lambda: kernel.init_dense([3, 2, 1], ["relu"], kernel.make_rng(0))),
     "adam_step-unknown-block": (ValidationError, "gradient for unknown parameter block 'b'",
                                 lambda: _adam({"b": np.ones((2, 2))})),
     "adam_step-grad-shape": (ShapeError, "block 'w': param (2, 2) != grad (2, 3)",

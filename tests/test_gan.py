@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blockecho import data
 from blockecho import gan as G
 from blockecho import kernel as K
 from blockecho import masking
@@ -240,6 +241,23 @@ class TestGeneratorAndMcl:
         huge, _ = K.net_forward(head, np.geomspace(4.0, 1e300, 1001).reshape(-1, 1))
         assert np.all(huge >= lo)
 
+    def test_estimate_is_the_clip_of_u_v(self):
+        # zero weights make G's output sigmoid(0) = 1/2 on every row, so a V
+        # whose first row is 2p and whose other rows are 0 gives u @ V = p;
+        # the head alone leaves [EPS_NORM, 1] for some p > 4, _estimate does not
+        lo, hi = EPS_NORM, 1.0
+        edges = [np.nextafter(lo, -np.inf), lo, np.nextafter(lo, np.inf),
+                 np.nextafter(hi, -np.inf), hi, np.nextafter(hi, np.inf), 2.0, 4.0]
+        p = np.concatenate([edges, np.linspace(-1.0, 3.0, 4001),
+                            np.geomspace(4.0, 1e300, 4001), -np.geomspace(4.0, 1e300, 11)])
+        xm, _, rcfg, _, model = toy_setup()
+        for w in model.generator.weights:
+            w[:] = 0.0
+        model.V = np.vstack([2.0 * p, np.zeros((rcfg.h - 1, p.size))])
+        u, xhat, _, _ = G._estimate(model, xm.values, xm.mask, np.zeros((xm.shape[0], rcfg.h)))
+        assert np.all(u == 0.5)
+        assert np.array_equal(xhat, np.broadcast_to(np.clip(p, lo, hi), xhat.shape))
+
 
 class TestAssembleAndMix:
     def test_all_observed(self):
@@ -364,6 +382,16 @@ class TestTrain:
         assert np.array_equal(result.imputed[obs], xm.values[obs])
         assert np.all((result.imputed >= 0) & np.isfinite(result.imputed))
         assert result.loss_trace["g_total"] == []
+
+    def test_imputation_stays_in_the_normalized_range(self):
+        # MF's estimate reaches 24.6 here; the head alone returned
+        # 1.0000000000000004 for some of those cells
+        x = data.gen_synthetic(data.SyntheticSpec("periodic_traffic", 24, 12, seed=0)).values
+        mask = generate_mask(MaskSpec("scattered", 0.5, 0), 24, 12)
+        xm = apply_mask(normalize(x, mask)[0], mask)
+        pre, _ = mf.pretrain(xm, 3, max_iters=300, seed=0)
+        _, result = G.train(xm, pre, G.BlockEchoConfig(h=3, iters=0, seed=0))
+        assert np.all((result.imputed >= EPS_NORM) & (result.imputed <= 1.0))
 
     def test_observed_preserved_bit_exact(self):
         xm, x = toy_instance(m=10, n=6, seed=2, missing=0.5)

@@ -69,7 +69,7 @@ class TestBackward:
         rng = K.make_rng(1000 + trial)
         n_layers = int(rng.integers(1, 4))
         sizes = [int(rng.integers(1, 17)) for _ in range(n_layers + 1)]
-        acts = [str(rng.choice(K.ACTIVATIONS)) for _ in range(n_layers)]
+        acts = [str(rng.choice(list(K.ACTIVATIONS))) for _ in range(n_layers)]
         net = K.init_dense(sizes, acts, rng)
         for b in net.biases:  # move away from exact relu kinks at z=0
             b += rng.standard_normal(b.shape) * 0.1
@@ -216,7 +216,7 @@ class TestBackwardParts:
     def test_skipped_parts_are_none_and_the_rest_bit_equal(self, seed):
         rng = K.make_rng(50 + seed)
         sizes = [int(rng.integers(1, 9)) for _ in range(seed % 3 + 2)]
-        acts = [str(rng.choice(K.ACTIVATIONS)) for _ in sizes[1:]]
+        acts = [str(rng.choice(list(K.ACTIVATIONS))) for _ in sizes[1:]]
         net = K.init_dense(sizes, acts, rng)
         out, cache = K.net_forward(net, rng.standard_normal((6, sizes[0])))
         d_out = rng.standard_normal(out.shape)
@@ -239,8 +239,9 @@ class TestActivationCache:
     def test_relu_mask_from_output_equals_mask_from_pre_activation(self):
         # relu maps -0.0 to -0.0 and NaN to NaN, so a > 0 and z > 0 agree
         z = np.array([[-0.0, 0.0, np.nan, -np.nan, 1e-300, -1e-300, np.inf, -np.inf, 2.0]])
-        a = K._apply_activation("relu", z.copy())
-        assert np.array_equal(K._activation_grad("relu", a), z > 0.0)
+        relu, relu_grad = K.ACTIVATIONS["relu"]
+        a = relu(z.copy())
+        assert np.array_equal(relu_grad(a), z > 0.0)
 
     @pytest.mark.parametrize("sizes, acts", [
         ((3, 4, 2), ("relu", "relu")),
@@ -270,7 +271,7 @@ class TestActivationCache:
 
 
 def per_block_adam(state, params, grads):
-    """Reference: Adam at AdamState's default settings, one moment array per block."""
+    """Reference: Adam at the kernel's constants, one moment array per block."""
     state["step"] += 1
     t = state["step"]
     c1 = 1.0 - 0.9 ** t
@@ -359,9 +360,9 @@ class TestAdam:
 
     def test_first_step_magnitude(self):
         p = {"w": np.array([[0.0]])}
-        K.adam_step(K.AdamState(lr=1e-3), p, {"w": np.array([[1.0]])})
-        # bias-corrected first step is lr/(1+eps)
-        assert abs(p["w"][0, 0] + 1e-3) < 1e-9
+        K.adam_step(K.AdamState(), p, {"w": np.array([[1.0]])})
+        # bias-corrected first step is LR/(1+eps)
+        assert abs(p["w"][0, 0] + K.LR) < 1e-9
 
     def test_deterministic_replay(self):
         rng = K.make_rng(7)
@@ -563,9 +564,12 @@ class TestAsMatrix:
 
 class TestInit:
     def test_only_the_trained_activations_exist(self):
-        assert K.ACTIVATIONS == ("relu", "sigmoid")
+        assert tuple(K.ACTIVATIONS) == ("relu", "sigmoid")
         with pytest.raises(ValidationError, match="unknown activation 'identity'"):
             K.DenseNet([np.ones((1, 1))], [np.zeros((1, 1))], ["identity"])
+        # an unhashable name is refused too, not looked up in the table
+        with pytest.raises(ValidationError, match="unknown activation"):
+            K.DenseNet([np.ones((1, 1))], [np.zeros((1, 1))], [["relu"]])
 
     def test_glorot_bounds_and_zero_bias(self):
         net = K.init_dense([8, 4], ["relu"], K.make_rng(9))

@@ -64,13 +64,16 @@ class TestKlLoss:
         assert mf.kl_loss(np.array([0.0]), np.array([0.5])) == 0.5
 
     def test_masked_cells_ignored(self):
-        x = np.array([[1.0, 50.0]])
-        xhat = np.array([[1.0, 1.0]])
-        mask = np.array([[1.0, 0.0]])
-        assert kl(x, xhat, mask) == 0.0
-
-    def test_non_finite_value_in_masked_cell_ignored(self):
-        assert kl([[1.0, np.nan]], [[1.0, 1.0]], [[1.0, 0.0]]) == 0.0
+        # pretrain's first loss, taken before any update, covers the observed
+        # cells alone: a missing cell holds the sentinel 0, whose term would
+        # add its estimate to the sum
+        x, mask = random_instance(6, 5, 4, missing=0.4)
+        _, trace = mf.pretrain(apply_mask(x, mask), 2, max_iters=0, seed=4)
+        f = init_factors(x, mask, 2, seed=4)
+        obs = np.asarray(mask, dtype=bool)
+        xv, xh = x[obs], (f.U @ f.V)[obs]
+        assert not obs.all()
+        assert trace.losses == [pytest.approx(np.sum(xv * np.log(xv / xh) - xv + xh), rel=1e-12)]
 
     def test_zero_observed_with_subnormal_estimate(self):
         # once overflowed in 1 / xhat on the way to the limit term

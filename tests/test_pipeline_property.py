@@ -1,8 +1,9 @@
 """Robustness contract of normalize -> pretrain -> train.
 
-On any valid input the pipeline either imputes a finite matrix whose
-observed cells are bit-exact copies of the normalized data, or raises a
-BlockEchoError subclass; any other exception is a bug.
+On any valid input the pipeline either imputes a matrix inside the
+normalized range [EPS_NORM, 1] whose observed cells are bit-exact copies of
+the normalized data, or raises a BlockEchoError subclass; any other
+exception is a bug.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from blockecho import gan, mf
 from blockecho.data import SYNTHETIC_KINDS, SyntheticSpec, gen_synthetic
 from blockecho.errors import BlockEchoError, SpecError
 from blockecho.masking import PATTERNS, MaskedMatrix, MaskSpec, generate_mask
-from blockecho.metrics import normalize
+from blockecho.metrics import EPS_NORM, normalize
 
 
 def build_mask(pattern, m, n, rate, seed):
@@ -66,4 +67,5 @@ def test_pipeline_imputes_or_raises_a_toolkit_error(case):
         return
     obs = mask > 0
     assert np.all(np.isfinite(result.imputed))
+    assert np.all((result.imputed >= EPS_NORM) & (result.imputed <= 1.0))
     assert np.array_equal(result.imputed[obs], xn[obs])
